@@ -1,6 +1,8 @@
 """Company default prediction on synthetic financial panels, with exact
 Shapley attributions, rating-grade mapping, and expert alignment scoring."""
 
+__version__ = "0.1.0"  # set before the submodule imports: pipeline reads it at import
+
 from .alignment import AlignmentReport, ExpertSurvey, align, aggregate_and_rank, load_survey
 from .dataprep import (
     CompanyRecord,
@@ -59,5 +61,3 @@ from .synthgen import (
     generate_with_oracle,
     oracle_reference_grades,
 )
-
-__version__ = "0.1.0"

@@ -1,9 +1,9 @@
 """Command-line interface.
 
-Subcommands mirror the pipeline stages (generate, prepare, resample, train,
-evaluate, explain, map-grades, align) plus ``run`` for the whole pipeline
-and ``report`` for pretty-printing a bundle. Failures exit nonzero with a
-stage-tagged message on stderr.
+Subcommands call the pipeline's stage functions (generate, prepare,
+resample, train, explain, map-grades, align; evaluate scores one split) plus
+``run`` for the whole pipeline and ``report`` for pretty-printing a bundle.
+Failures exit nonzero with a stage-tagged message on stderr.
 """
 
 from __future__ import annotations
@@ -11,82 +11,76 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from importlib import resources
 from pathlib import Path
 
-import numpy as np
-
-from . import alignment as alignment_mod
-from . import grading as grading_mod
-from .dataprep import (
-    DEFAULT_COUNTRIES,
-    FeatureMatrix,
-    SplitSpec,
-    prepare,
-    read_records,
-    write_records,
-)
+from .dataprep import DEFAULT_COUNTRIES, FeatureMatrix, read_records
 from .metrics import evaluate
-from .models import MODEL_KINDS, fit, load_model, predict_proba, save_model
+from .models import MODEL_KINDS, load_model, predict_proba
 from .pipeline import (
     RunConfig,
     StageError,
-    _meta_doc,
+    align_stage,
+    explain_stage,
     format_report,
+    generate_stage,
+    generator_config,
+    load_split,
+    map_grades_stage,
+    prepare_stage,
     read_json,
     read_reference_grades,
+    resample_stage,
     run_pipeline,
-    write_json,
-    write_reference_grades,
+    select_instances,
+    split_spec,
+    train_stage,
 )
-from .shapley import AttributionConfig, AttributionReport, global_importance, group_countries
-from .smote import SmoteConfig, resample
-from .synthgen import GeneratorConfig, generate_with_oracle, oracle_reference_grades
+from .shapley import AttributionReport
+from .smote import SmoteConfig
 
 
-def _load_rows(path, meta=None, split=None) -> FeatureMatrix:
-    fm = FeatureMatrix.from_csv(path)
-    if meta is None:
-        return fm
-    doc = read_json(meta)
-    if split is None:
-        return fm
-    return fm.subset(np.asarray(doc["split"][split], dtype=int))
+def _splits(args, split) -> dict:
+    """``--in`` as ``all``, plus its train/test/validation splits given
+    ``--meta``; ``split`` must be among them."""
+    splits = load_split(args.inp, args.meta)
+    if split is not None and split not in splits:
+        raise ValueError(f"--split {split} needs --meta")
+    return splits
+
+
+def _rows(args, split) -> FeatureMatrix:
+    return _splits(args, split)[split or "all"]
+
+
+def _section(path, seed) -> dict:
+    """Config JSON at ``path`` (empty when None), ``seed`` overriding its own."""
+    doc = {} if path is None else read_json(path)
+    if seed is not None:
+        doc["seed"] = seed
+    return doc
 
 
 def _cmd_generate(args) -> int:
-    with open(args.config) as fh:
-        doc = json.load(fh)
-    doc["year_range"] = tuple(doc["year_range"])
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    config = GeneratorConfig(**doc)
-    records, oracle = generate_with_oracle(config)
-    write_records(args.out, records)
-    if args.grades_out:
-        write_reference_grades(args.grades_out, oracle_reference_grades(oracle))
+    config = generator_config(_section(args.config, args.seed), 0)
+    summary = generate_stage(config, args.out, args.grades_out)
     print(
-        f"wrote {len(records)} statements to {args.out} "
-        f"(realized default rate {oracle.realized_rate:.4%})"
+        f"wrote {summary['n_records']} statements to {args.out} "
+        f"(realized default rate {summary['realized_default_rate']:.4%})"
     )
     return 0
 
 
 def _cmd_prepare(args) -> int:
-    doc = {}
-    if args.config:
-        with open(args.config) as fh:
-            doc = json.load(fh)
-    spec = SplitSpec(
-        train_years=tuple(doc.get("train_years", (2004, 2012))),
-        validation_years=tuple(doc.get("validation_years", (2013, 2018))),
-        test_fraction=float(doc.get("test_fraction", 0.3)),
-        seed=args.seed if args.seed is not None else int(doc.get("seed", 0)),
-    )
-    countries = tuple(doc.get("countries", DEFAULT_COUNTRIES))
-    prep = prepare(read_records(args.inp), spec, countries)
-    prep.features.to_csv(args.out)
+    doc = _section(args.config, args.seed)
     meta_path = args.meta or str(Path(args.out).with_suffix(".meta.json"))
-    write_json(meta_path, _meta_doc(prep))
+    prep = prepare_stage(
+        read_records(args.inp),
+        split_spec(doc, 0),
+        tuple(doc.get("countries", DEFAULT_COUNTRIES)),
+        args.out,
+        meta_path,
+    )
     print(
         f"wrote {prep.features.n} feature rows to {args.out} "
         f"(train {prep.split.train.n} / test {prep.split.test.n} / "
@@ -96,12 +90,10 @@ def _cmd_prepare(args) -> int:
 
 
 def _cmd_resample(args) -> int:
-    rows = _load_rows(args.inp, args.meta, "train" if args.meta else None)
+    rows = _rows(args, "train" if args.meta else None)
     config = SmoteConfig(k=args.k, target_ratio=args.ratio, seed=args.seed or 0)
-    result = resample(rows, config)
-    result.data.to_csv(args.out)
     audit_path = args.audit or str(Path(args.out).with_suffix(".audit.json"))
-    write_json(audit_path, result.audit())
+    result = resample_stage(rows, config, args.out, audit_path)
     print(
         f"wrote {result.data.n} rows to {args.out} "
         f"({result.parents.shape[0]} synthetic)"
@@ -110,20 +102,16 @@ def _cmd_resample(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    params = None
-    if args.params:
-        with open(args.params) as fh:
-            params = json.load(fh)
-    rows = _load_rows(args.inp, args.meta, args.split)
-    model = fit(args.model, rows, params, args.seed or 0)
-    save_model(model, args.out)
+    params = read_json(args.params) if args.params else None
+    rows = _rows(args, args.split)
+    train_stage(args.model, rows, params, args.seed or 0, args.out)
     print(f"trained {args.model} on {rows.n} rows -> {args.out}")
     return 0
 
 
 def _cmd_evaluate(args) -> int:
     model = load_model(args.model)
-    rows = _load_rows(args.inp, args.meta, args.split)
+    rows = _rows(args, args.split)
     report = evaluate(rows.y, predict_proba(model, rows), threshold=args.threshold)
     report.save(args.report)
     auc = "n/a" if report.auc is None else f"{report.auc:.4f}"
@@ -136,53 +124,30 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_explain(args) -> int:
-    model = load_model(args.model)
-    rows = _load_rows(args.inp, args.meta, args.split)
-    background = FeatureMatrix.from_csv(args.background)
-    if args.max_instances and rows.n > args.max_instances:
-        rng = np.random.default_rng(args.seed or 0)
-        rows = rows.subset(np.sort(rng.choice(rows.n, size=args.max_instances, replace=False)))
-    group_map = group_countries(rows.columns) if args.group_countries else None
-    config = AttributionConfig(
-        background=background.X, group_map=group_map, seed=args.seed or 0
-    )
-    report = global_importance(model, rows, config)
-    report.save(args.out)
+    splits = _splits(args, args.split)
+    rows = select_instances(splits, args.max_instances, args.seed or 0, args.split or "all")
+    background = FeatureMatrix.from_csv(args.background).X
+    report = explain_stage(load_model(args.model), rows, background, args.group_countries, args.out)
     top = ", ".join(report.ranking[:3])
     print(f"explained {rows.n} rows -> {args.out} (top players: {top})")
     return 0
 
 
 def _cmd_map_grades(args) -> int:
-    model = load_model(args.model)
-    rows = _load_rows(args.inp, args.meta, args.split)
-    ref = read_reference_grades(args.reference)
-    probs = predict_proba(model, rows)
-    grades, kept = [], []
-    for i in range(rows.n):
-        grade = ref.get(rows.company_ids[i], rows.years[i])
-        if grade is not None:
-            grades.append(grade)
-            kept.append(i)
-    if not kept:
-        raise ValueError("no rows matched the reference grade stream")
-    probs = probs[np.asarray(kept)]
-    if args.fixed_intervals:
-        cal = grading_mod.load_fixed_intervals(args.fixed_intervals)
-    else:
-        cal = grading_mod.calibrate(grades, probs)
-    mapped = grading_mod.assign_grades(probs, cal)
-    confusion = grading_mod.grade_confusion(grades, mapped)
-    write_json(
+    if not (args.fixed_intervals or args.meta):
+        raise ValueError("calibration fits on the test split and needs --meta "
+                         "(or pass --fixed-intervals)")
+    confusion = map_grades_stage(
+        load_model(args.model),
+        read_reference_grades(args.reference),
+        _splits(args, args.split),
+        args.split or "all",
+        "fixed" if args.fixed_intervals else "calibrate",
+        args.fixed_intervals,
         args.out,
-        {
-            "mode": "fixed" if args.fixed_intervals else "calibrate",
-            "calibration": cal.to_dict(),
-            "confusion": confusion.to_dict(),
-        },
     )
     print(
-        f"graded {len(grades)} rows -> {args.out} "
+        f"graded {int(confusion.matrix.sum())} rows -> {args.out} "
         f"(equal {100 * confusion.equal_fraction:.1f}%, "
         f"riskier {100 * confusion.riskier_fraction:.1f}%)"
     )
@@ -190,10 +155,7 @@ def _cmd_map_grades(args) -> int:
 
 
 def _cmd_align(args) -> int:
-    survey = alignment_mod.load_survey(args.survey)
-    attribution = AttributionReport.load(args.attribution)
-    report = alignment_mod.align(survey, attribution)
-    report.save(args.out)
+    report = align_stage(args.survey, AttributionReport.load(args.attribution), args.out)
     print(
         f"alignment -> {args.out} (rho={report.spearman:.4f}, "
         f"tau={report.kendall:.4f}, top-3 overlap={report.top3_overlap:.2f})"
@@ -202,7 +164,11 @@ def _cmd_align(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    config = RunConfig.from_json(args.config) if args.config else _demo_config()
+    if args.config:
+        config = RunConfig.from_json(args.config)
+    else:
+        demo = resources.files("pdxplain.data").joinpath("demo_config.json")
+        config = RunConfig.from_dict(json.loads(demo.read_text()))
     if args.seed is not None:
         doc = config.to_dict()
         doc["seed"] = args.seed
@@ -214,13 +180,6 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _demo_config() -> RunConfig:
-    from importlib import resources
-
-    ref = resources.files("pdxplain.data").joinpath("demo_config.json")
-    return RunConfig.from_dict(json.loads(ref.read_text()))
-
-
 def _cmd_report(args) -> int:
     path = Path(args.inp)
     if path.is_dir():
@@ -230,6 +189,12 @@ def _cmd_report(args) -> int:
     if args.out:
         Path(args.out).write_text(text + "\n")
     return 0
+
+
+def _row_args(p, help_in=None) -> None:
+    p.add_argument("--in", dest="inp", required=True, help=help_in)
+    p.add_argument("--meta", help="prepare sidecar for --split")
+    p.add_argument("--split", choices=("train", "test", "validation"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -267,27 +232,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="fit a model")
     p.add_argument("--model", required=True, choices=MODEL_KINDS)
     p.add_argument("--params", help="hyperparameter JSON")
-    p.add_argument("--in", dest="inp", required=True, help="training feature CSV")
-    p.add_argument("--meta", help="prepare sidecar for --split")
-    p.add_argument("--split", choices=("train", "test", "validation"))
+    _row_args(p, "training feature CSV")
     p.add_argument("--out", required=True, help="model JSON")
     p.add_argument("--seed", type=int)
     p.set_defaults(func=_cmd_train, stage="train")
 
     p = sub.add_parser("evaluate", help="score a model on labeled rows")
     p.add_argument("--model", required=True)
-    p.add_argument("--in", dest="inp", required=True)
-    p.add_argument("--meta")
-    p.add_argument("--split", choices=("train", "test", "validation"))
+    _row_args(p)
     p.add_argument("--threshold", type=float, default=0.5)
     p.add_argument("--report", "--out", dest="report", required=True, help="output report JSON")
     p.set_defaults(func=_cmd_evaluate, stage="evaluate")
 
     p = sub.add_parser("explain", help="exact Shapley attributions")
     p.add_argument("--model", required=True)
-    p.add_argument("--in", dest="inp", required=True, help="rows to explain")
-    p.add_argument("--meta")
-    p.add_argument("--split", choices=("train", "test", "validation"))
+    _row_args(p, "rows to explain")
     p.add_argument("--background", required=True, help="background feature CSV")
     p.add_argument("--group-countries", action="store_true")
     p.add_argument("--max-instances", type=int)
@@ -298,10 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("map-grades", help="map probabilities to rating grades")
     p.add_argument("--model", required=True)
     p.add_argument("--reference", required=True, help="reference grade CSV")
-    p.add_argument("--in", dest="inp", required=True)
-    p.add_argument("--meta")
-    p.add_argument("--split", choices=("train", "test", "validation"))
-    p.add_argument("--fixed-intervals", help="interval table JSON instead of calibration")
+    _row_args(p)
+    p.add_argument("--fixed-intervals", help="interval table JSON; else calibrate on the --meta test split")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_map_grades, stage="map-grades")
 

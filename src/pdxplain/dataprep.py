@@ -137,15 +137,6 @@ class ScalerParams:
             "constant": [bool(v) for v in self.constant],
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ScalerParams":
-        return cls(
-            columns=list(d["columns"]),
-            mean=np.asarray(d["mean"], dtype=float),
-            std=np.asarray(d["std"], dtype=float),
-            constant=np.asarray(d["constant"], dtype=bool),
-        )
-
 
 @dataclass
 class FeatureMatrix:

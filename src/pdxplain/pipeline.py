@@ -1,11 +1,18 @@
 """End-to-end orchestration: generate, prepare, resample, train, evaluate,
 explain, map grades, align, and emit a plot-ready report bundle.
 
-Stage artifacts are content-addressed under ``<out>/stages/`` by a hash of
-the run config, so rerunning with an identical config reuses them. Every
-stage reads its inputs back from the artifacts it (or an earlier run) wrote,
-which keeps cached and fresh runs on the same data path and makes report
-bundles byte-identical across reruns.
+Each stage is a module-level ``*_stage`` function that takes explicit inputs
+and writes explicit artifact paths; the CLI subcommands call the same
+functions. ``run_pipeline`` keeps each stage's artifacts under
+``<out>/stages/<name>_<key>/`` and reuses a directory whose ``.done`` marker
+exists. A stage key is a sha256 over the stage name, the config fields that
+stage reads, the keys of its upstream stages, the bytes of any external file
+it reads (the survey CSV and the interval table, or the bundled defaults
+when their paths are null) and the package version. So a change of model
+kind reuses generate, prepare and resample, and editing the survey in place
+reruns only align. Every stage reads its inputs back from the artifacts it
+(or an earlier run) wrote, which keeps cached and fresh runs on the same
+data path and makes report bundles byte-identical across reruns.
 """
 
 from __future__ import annotations
@@ -14,17 +21,18 @@ import csv
 import hashlib
 import json
 from dataclasses import asdict, dataclass, is_dataclass
+from importlib import resources
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
+from . import __version__
 from . import alignment as alignment_mod
 from . import grading as grading_mod
 from .dataprep import (
     DEFAULT_COUNTRIES,
     FeatureMatrix,
-    ScalerParams,
     SplitSpec,
     prepare,
     read_records,
@@ -58,6 +66,26 @@ def _derive_seed(global_seed: int, stage_index: int) -> int:
     return int(np.random.SeedSequence([global_seed, stage_index]).generate_state(1)[0])
 
 
+def generator_config(section: dict, seed: int) -> GeneratorConfig:
+    """Parse a ``generator`` config section; ``seed`` applies unless the
+    section sets its own."""
+    gen = dict(section)
+    gen["year_range"] = tuple(gen["year_range"])
+    gen["seed"] = int(gen.get("seed", seed))
+    return GeneratorConfig(**gen)
+
+
+def split_spec(section: dict, seed: int) -> SplitSpec:
+    """Parse a ``split`` config section; ``seed`` applies unless the section
+    sets its own."""
+    return SplitSpec(
+        train_years=tuple(section.get("train_years", (2004, 2012))),
+        validation_years=tuple(section.get("validation_years", (2013, 2018))),
+        test_fraction=float(section.get("test_fraction", 0.3)),
+        seed=int(section.get("seed", seed)),
+    )
+
+
 @dataclass
 class RunConfig:
     generator: GeneratorConfig
@@ -87,16 +115,6 @@ class RunConfig:
         def stage_seed(section: dict, index: int) -> int:
             return int(section.get("seed", _derive_seed(seed, index)))
 
-        gen = dict(doc["generator"])
-        gen["year_range"] = tuple(gen["year_range"])
-        gen["seed"] = stage_seed(gen, 0)
-        split_doc = dict(doc.get("split", {}))
-        split = SplitSpec(
-            train_years=tuple(split_doc.get("train_years", (2004, 2012))),
-            validation_years=tuple(split_doc.get("validation_years", (2013, 2018))),
-            test_fraction=float(split_doc.get("test_fraction", 0.3)),
-            seed=stage_seed(split_doc, 1),
-        )
         smote_doc = dict(doc.get("smote", {}))
         smote_cfg = SmoteConfig(
             k=int(smote_doc.get("k", 10)),
@@ -107,8 +125,8 @@ class RunConfig:
         attr_doc = dict(doc.get("attribution", {}))
         grading_doc = dict(doc.get("grading", {}))
         return cls(
-            generator=GeneratorConfig(**gen),
-            split=split,
+            generator=generator_config(doc["generator"], _derive_seed(seed, 0)),
+            split=split_spec(doc.get("split", {}), _derive_seed(seed, 1)),
             smote=smote_cfg,
             model_kind=model_doc.get("kind", "gbt"),
             model_params=model_doc.get("params"),
@@ -178,13 +196,6 @@ class RunConfig:
         return hashlib.sha256(payload).hexdigest()[:12]
 
 
-def write_reference_grades(path, grades: list[tuple[str, int, str]]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["company_id", "statement_year", "grade"])
-        writer.writerows(grades)
-
-
 class ReferenceGrades:
     """Reference grade stream keyed by (company_id, statement_year) when the
     CSV carries a year column, or by company_id alone otherwise."""
@@ -226,27 +237,42 @@ def read_json(path):
         return json.load(fh)
 
 
-class _Stages:
-    """Content-addressed stage directories with done markers."""
-
-    def __init__(self, out_dir: Path, digest: str):
-        self.root = out_dir / "stages"
-        self.digest = digest
-
-    def dir(self, name: str) -> Path:
-        d = self.root / f"{name}_{self.digest}"
-        d.mkdir(parents=True, exist_ok=True)
-        return d
-
-    def is_done(self, name: str) -> bool:
-        return (self.root / f"{name}_{self.digest}" / ".done").exists()
-
-    def mark_done(self, name: str) -> None:
-        (self.root / f"{name}_{self.digest}" / ".done").write_text("ok\n")
+def load_split(features_path, meta_path=None) -> dict:
+    """The prepared matrix as ``all``; given the prepare sidecar, also the
+    sidecar as ``meta`` and its ``train``/``test``/``validation`` slices."""
+    fm = FeatureMatrix.from_csv(features_path)
+    out = {"all": fm}
+    if meta_path is not None:
+        out["meta"] = meta = read_json(meta_path)
+        for name in ("train", "test", "validation"):
+            out[name] = fm.subset(np.asarray(meta["split"][name], dtype=int))
+    return out
 
 
-def _meta_doc(prep) -> dict:
+def generate_stage(config: GeneratorConfig, data_path, grades_path=None) -> dict:
+    """Write a synthetic panel to ``data_path`` and, given ``grades_path``,
+    its oracle reference grades; return the generation summary."""
+    records, oracle = generate_with_oracle(config)
+    write_records(data_path, records)
+    if grades_path is not None:
+        with open(grades_path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["company_id", "statement_year", "grade"])
+            writer.writerows(oracle_reference_grades(oracle))
     return {
+        "intercept": oracle.intercept,
+        "realized_default_rate": oracle.realized_rate,
+        "target_default_rate": oracle.target_rate,
+        "n_records": len(records),
+    }
+
+
+def prepare_stage(records, spec: SplitSpec, countries, features_path, meta_path):
+    """Label, derive ratios, split and scale; write the feature matrix and
+    its sidecar (scaler, split membership, rejection counts)."""
+    prep = prepare(records, spec, countries)
+    prep.features.to_csv(features_path)
+    write_json(meta_path, {
         "scaler": prep.scaler.to_dict(),
         "countries": list(prep.countries),
         "split": {
@@ -255,17 +281,90 @@ def _meta_doc(prep) -> dict:
             "validation": [int(i) for i in prep.split.validation_indices],
         },
         "rejections": prep.rejection_counts(),
-    }
+    })
+    return prep
 
 
-def load_split(features_path, meta_path) -> dict[str, FeatureMatrix]:
-    """Reload the prepared matrix and slice it by the stored membership."""
-    fm = FeatureMatrix.from_csv(features_path)
-    meta = read_json(meta_path)
-    out = {"all": fm, "scaler": ScalerParams.from_dict(meta["scaler"]), "meta": meta}
-    for name in ("train", "test", "validation"):
-        out[name] = fm.subset(np.asarray(meta["split"][name], dtype=int))
-    return out
+def resample_stage(train: FeatureMatrix, config: SmoteConfig, data_path, audit_path):
+    """SMOTE-oversample the training rows; write them and the parent audit."""
+    result = resample(train, config)
+    result.data.to_csv(data_path)
+    write_json(audit_path, result.audit())
+    return result
+
+
+def train_stage(kind: str, rows: FeatureMatrix, params, seed: int, model_path) -> None:
+    save_model(fit(kind, rows, params, seed), model_path)
+
+
+def evaluate_stage(kind: str, rows, path) -> None:
+    """Write the performance table of ``(label, model, data)`` rows."""
+    table = [
+        {"row": label, "model": kind, **evaluate(data.y, predict_proba(model, data)).to_dict()}
+        for label, model, data in rows
+    ]
+    write_json(path, {"rows": table})
+
+
+def select_instances(splits: dict, n: Optional[int], seed: int, split: str = "validation") -> FeatureMatrix:
+    """At most ``n`` rows (all when None) of ``splits[split]``, drawn with
+    ``seed`` and kept in row order. An empty validation split falls back to
+    the test split."""
+    pool = splits[split]
+    if split == "validation" and not pool.n:
+        pool = splits["test"]
+    if n is None or n >= pool.n:
+        return pool
+    rng = np.random.default_rng(seed)
+    return pool.subset(np.sort(rng.choice(pool.n, size=n, replace=False)))
+
+
+def explain_stage(model, instances: FeatureMatrix, background: np.ndarray, group: bool, path) -> AttributionReport:
+    """Exact Shapley attributions of ``instances`` against ``background``,
+    with the one-hot country columns as one player when ``group``."""
+    group_map = group_countries(instances.columns) if group else None
+    config = AttributionConfig(background=background, group_map=group_map)
+    report = global_importance(model, instances, config)
+    report.save(path)
+    return report
+
+
+def _paired_grades(model, data: FeatureMatrix, reference: ReferenceGrades):
+    """(reference grades, model probabilities) of the rows that have one."""
+    probs = predict_proba(model, data)
+    grades, kept = [], []
+    for i in range(data.n):
+        grade = reference.get(data.company_ids[i], data.years[i])
+        if grade is not None:
+            grades.append(grade)
+            kept.append(i)
+    if data.n and not kept:
+        raise ValueError("no rows matched the reference grade stream")
+    return grades, probs[np.asarray(kept, dtype=int)]
+
+
+def map_grades_stage(model, reference: ReferenceGrades, splits: dict, score: str,
+                     mode: str, intervals_path, path) -> grading_mod.GradeConfusion:
+    """Map the probabilities of ``splits[score]`` to grades and compare them
+    with the reference grades. ``calibrate`` fits the grade bounds on the
+    test split; ``fixed`` reads the interval table at ``intervals_path``
+    (the bundled table when None)."""
+    if mode == "fixed":
+        cal = grading_mod.load_fixed_intervals(intervals_path)
+    else:
+        cal = grading_mod.calibrate(*_paired_grades(model, splits["test"], reference))
+    grades, probs = _paired_grades(model, splits[score], reference)
+    confusion = grading_mod.grade_confusion(grades, grading_mod.assign_grades(probs, cal))
+    write_json(path, {"mode": mode, "calibration": cal.to_dict(), "confusion": confusion.to_dict()})
+    return confusion
+
+
+def align_stage(survey_path, attribution: AttributionReport, path) -> alignment_mod.AlignmentReport:
+    """Score the attribution ranking against the survey at ``survey_path``
+    (the bundled four-analyst survey when None)."""
+    report = alignment_mod.align(alignment_mod.load_survey(survey_path), attribution)
+    report.save(path)
+    return report
 
 
 def run_pipeline(config: RunConfig, out_dir) -> dict:
@@ -276,141 +375,90 @@ def run_pipeline(config: RunConfig, out_dir) -> dict:
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    stages = _Stages(out_dir, config.digest())
+    doc = config.to_dict()
 
-    def run_stage(name: str, compute):
-        d = stages.dir(name)
+    def run_stage(name: str, fields, upstream: list[Path], compute, inputs=()) -> Path:
+        """Run ``compute`` into the stage's directory unless a finished one
+        exists. ``fields`` are the config fields the stage reads, ``inputs``
+        the (path, bundled default) files; both enter its key."""
         try:
-            if not stages.is_done(name):
+            key = hashlib.sha256(json.dumps(
+                [name, fields, [u.name for u in upstream], __version__], sort_keys=True
+            ).encode())
+            for path, bundled in inputs:
+                data = resources.files("pdxplain.data").joinpath(bundled) if path is None else Path(path)
+                key.update(hashlib.sha256(data.read_bytes()).digest())
+            d = out_dir / "stages" / f"{name}_{key.hexdigest()[:12]}"
+            if not (d / ".done").exists():
+                d.mkdir(parents=True, exist_ok=True)
                 compute(d)
-                stages.mark_done(name)
+                (d / ".done").write_text("ok\n")
             return d
         except Exception as exc:
             raise StageError(name, exc) from exc
 
-    # generate
-    def _generate(d: Path):
-        records, oracle = generate_with_oracle(config.generator)
-        write_records(d / "data.csv", records)
-        write_reference_grades(d / "reference_grades.csv", oracle_reference_grades(oracle))
-        write_json(
-            d / "generation.json",
-            {
-                "intercept": oracle.intercept,
-                "realized_default_rate": oracle.realized_rate,
-                "target_default_rate": oracle.target_rate,
-                "n_records": len(records),
-            },
-        )
-    gen_dir = run_stage("generate", _generate)
+    gen_dir = run_stage("generate", doc["generator"], [], lambda d: write_json(
+        d / "generation.json",
+        generate_stage(config.generator, d / "data.csv", d / "reference_grades.csv"),
+    ))
     records = read_records(gen_dir / "data.csv")
     ref_grades = read_reference_grades(gen_dir / "reference_grades.csv")
     generation = read_json(gen_dir / "generation.json")
 
-    # prepare
-    def _prepare(d: Path):
-        prep = prepare(records, config.split, config.countries)
-        prep.features.to_csv(d / "features.csv")
-        write_json(d / "features.meta.json", _meta_doc(prep))
-    prep_dir = run_stage("prepare", _prepare)
+    prep_dir = run_stage(
+        "prepare", {"split": doc["split"], "countries": doc["countries"]}, [gen_dir],
+        lambda d: prepare_stage(records, config.split, config.countries,
+                                d / "features.csv", d / "features.meta.json"),
+    )
     splits = load_split(prep_dir / "features.csv", prep_dir / "features.meta.json")
 
-    # resample
-    def _resample(d: Path):
-        rs = resample(splits["train"], config.smote)
-        rs.data.to_csv(d / "train_resampled.csv")
-        write_json(d / "smote_audit.json", rs.audit())
-    rs_dir = run_stage("resample", _resample)
+    rs_dir = run_stage("resample", doc["smote"], [prep_dir], lambda d: resample_stage(
+        splits["train"], config.smote, d / "train_resampled.csv", d / "smote_audit.json"
+    ))
     train_rs = FeatureMatrix.from_csv(rs_dir / "train_resampled.csv")
 
-    # train
     def _train(d: Path):
-        save_model(
-            fit(config.model_kind, splits["train"], config.model_params, config.model_seed),
-            d / "model_wrs.json",
-        )
-        save_model(
-            fit(config.model_kind, train_rs, config.model_params, config.model_seed),
-            d / "model_rs.json",
-        )
-    train_dir = run_stage("train", _train)
+        for rows, name in ((splits["train"], "model_wrs.json"), (train_rs, "model_rs.json")):
+            train_stage(config.model_kind, rows, config.model_params, config.model_seed, d / name)
+    train_dir = run_stage("train", doc["model"], [prep_dir, rs_dir], _train)
     model_wrs = load_model(train_dir / "model_wrs.json")
     model_rs = load_model(train_dir / "model_rs.json")
 
-    # evaluate
-    def _evaluate(d: Path):
-        rows = [
-            ("WRS", model_wrs, splits["test"]),
-            ("RS", model_rs, splits["test"]),
-            ("RS+VS", model_rs, splits["validation"]),
-        ]
-        table = []
-        for label, model, data in rows:
-            report = evaluate(data.y, predict_proba(model, data))
-            table.append({"row": label, "model": config.model_kind, **report.to_dict()})
-        write_json(d / "performance.json", {"rows": table})
-    eval_dir = run_stage("evaluate", _evaluate)
+    eval_dir = run_stage("evaluate", config.model_kind, [prep_dir, train_dir], lambda d: evaluate_stage(
+        config.model_kind,
+        [("WRS", model_wrs, splits["test"]), ("RS", model_rs, splits["test"]),
+         ("RS+VS", model_rs, splits["validation"])],
+        d / "performance.json",
+    ))
     performance = read_json(eval_dir / "performance.json")
 
-    # explain
-    def _explain(d: Path):
-        background = sample_background(
-            splits["train"], config.background_size, config.attribution_seed
-        )
-        pool = splits["validation"] if splits["validation"].n else splits["test"]
-        rng = np.random.default_rng(config.attribution_seed)
-        take = min(config.n_explain, pool.n)
-        instances = pool.subset(np.sort(rng.choice(pool.n, size=take, replace=False)))
-        group_map = group_countries(pool.columns) if config.group_countries else None
-        cfg = AttributionConfig(
-            background=background, group_map=group_map, seed=config.attribution_seed
-        )
-        global_importance(model_rs, instances, cfg).save(d / "attributions.json")
-    explain_dir = run_stage("explain", _explain)
+    explain_dir = run_stage("explain", doc["attribution"], [prep_dir, train_dir], lambda d: explain_stage(
+        model_rs,
+        select_instances(splits, config.n_explain, config.attribution_seed),
+        sample_background(splits["train"], config.background_size, config.attribution_seed),
+        config.group_countries,
+        d / "attributions.json",
+    ))
     attribution = AttributionReport.load(explain_dir / "attributions.json")
 
-    # map-grades
-    def _map_grades(d: Path):
-        def paired(split_name):
-            data = splits[split_name]
-            probs = predict_proba(model_rs, data)
-            grades, kept = [], []
-            for i in range(data.n):
-                grade = ref_grades.get(data.company_ids[i], data.years[i])
-                if grade is not None:
-                    grades.append(grade)
-                    kept.append(i)
-            return grades, probs[np.asarray(kept, dtype=int)]
-
-        if config.grading_mode == "fixed":
-            cal = grading_mod.load_fixed_intervals(config.fixed_intervals_path)
-        else:
-            cal = grading_mod.calibrate(*paired("test"))
-        val_grades, val_probs = paired("validation")
-        mapped = grading_mod.assign_grades(val_probs, cal)
-        confusion = grading_mod.grade_confusion(val_grades, mapped)
-        write_json(
-            d / "grading.json",
-            {
-                "mode": config.grading_mode,
-                "calibration": cal.to_dict(),
-                "confusion": confusion.to_dict(),
-            },
-        )
-    grade_dir = run_stage("map-grades", _map_grades)
+    grade_dir = run_stage(
+        "map-grades", config.grading_mode, [gen_dir, prep_dir, train_dir],
+        lambda d: map_grades_stage(model_rs, ref_grades, splits, "validation", config.grading_mode,
+                                   config.fixed_intervals_path, d / "grading.json"),
+        inputs=[(config.fixed_intervals_path, "scorecard_intervals.json")] if config.grading_mode == "fixed" else [],
+    )
     grading = read_json(grade_dir / "grading.json")
 
-    # align
-    def _align(d: Path):
-        survey = alignment_mod.load_survey(config.survey_path)
-        alignment_mod.align(survey, attribution).save(d / "alignment.json")
-    align_dir = run_stage("align", _align)
+    align_dir = run_stage(
+        "align", None, [explain_dir],
+        lambda d: align_stage(config.survey_path, attribution, d / "alignment.json"),
+        inputs=[(config.survey_path, "analyst_survey.csv")],
+    )
     align_doc = read_json(align_dir / "alignment.json")
 
-    # report bundle
-    def _report(_d: Path):
+    try:
         bundle = {
-            "config": config.to_dict(),
+            "config": doc,
             "config_digest": config.digest(),
             "generation": generation,
             "rejections": splits["meta"]["rejections"],
@@ -422,8 +470,6 @@ def run_pipeline(config: RunConfig, out_dir) -> dict:
         }
         write_json(out_dir / "report.json", bundle)
         _write_tables(out_dir, bundle)
-    try:
-        _report(out_dir)
     except Exception as exc:
         raise StageError("report", exc) from exc
     return read_json(out_dir / "report.json")

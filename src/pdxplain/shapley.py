@@ -29,7 +29,6 @@ class AttributionConfig:
     background: np.ndarray  # (n_background, n_columns) reference rows
     max_features: int = 20
     group_map: Optional[dict[str, list[str]]] = None  # player -> column names
-    seed: int = 0  # seed the background sample was drawn with (provenance)
 
     def __post_init__(self):
         self.background = np.asarray(self.background, dtype=float)

@@ -42,18 +42,28 @@ class SmoteResult:
         }
 
 
+# Query rows per distance block: scratch memory is NEIGHBOR_BLOCK * n * d
+# float64 instead of n * n * d.
+NEIGHBOR_BLOCK = 128
+
+
 def minority_neighbors(X_min: np.ndarray, k: int) -> np.ndarray:
     """Indices of each minority point's k nearest minority neighbors,
     self excluded. Distance ties break by ascending row index.
 
     Distances are computed as explicit coordinate differences (not the
     expanded quadratic form) so that genuinely equal distances compare
-    exactly equal and the stable sort honors the index tie-break.
+    exactly equal and the stable sort honors the index tie-break. Query
+    rows go in blocks of NEIGHBOR_BLOCK, which changes no distance.
     """
-    d2 = ((X_min[:, None, :] - X_min[None, :, :]) ** 2).sum(axis=2)
-    np.fill_diagonal(d2, np.inf)
-    order = np.argsort(d2, axis=1, kind="stable")
-    return order[:, :k]
+    n = X_min.shape[0]
+    out = np.empty((n, min(k, n)), dtype=np.intp)
+    for start in range(0, n, NEIGHBOR_BLOCK):
+        stop = min(start + NEIGHBOR_BLOCK, n)
+        d2 = ((X_min[start:stop, None, :] - X_min[None, :, :]) ** 2).sum(axis=2)
+        d2[np.arange(stop - start), np.arange(start, stop)] = np.inf
+        out[start:stop] = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    return out
 
 
 def resample(train: FeatureMatrix, config: SmoteConfig) -> SmoteResult:

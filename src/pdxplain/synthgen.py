@@ -100,12 +100,6 @@ class SynthOracle:
     realized_rate: float
     target_rate: float
 
-    def as_map(self) -> dict[tuple[str, int], float]:
-        return {
-            (cid, int(year)): float(p)
-            for cid, year, p in zip(self.company_ids, self.years, self.propensity)
-        }
-
 
 def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-np.clip(z, -500.0, 500.0)))

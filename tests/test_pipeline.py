@@ -1,5 +1,7 @@
+import copy
 import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +10,8 @@ import pytest
 import pdxplain as px
 from pdxplain.cli import main
 from pdxplain.pipeline import RunConfig, StageError, format_report, run_pipeline
+
+DATA = Path(px.__file__).parent / "data"
 
 SMALL_DOC = {
     "seed": 21,
@@ -106,6 +110,66 @@ class TestRunPipeline:
         doc["smote"]["seed"] = 12345
         config = RunConfig.from_dict(doc)
         assert config.smote.seed == 12345
+
+
+def stage_markers(out) -> dict:
+    """Stage directory name -> mtime of its .done marker."""
+    return {p.parent.name: p.stat().st_mtime_ns for p in (Path(out) / "stages").glob("*/.done")}
+
+
+class TestStageCache:
+    def test_model_sweep_reuses_upstream_stages(self, tmp_path):
+        out = tmp_path / "sweep"
+        run_pipeline(RunConfig.from_dict(SMALL_DOC), out)
+        before = stage_markers(out)
+        doc = copy.deepcopy(SMALL_DOC)
+        doc["model"] = {"kind": "lr"}
+        run_pipeline(RunConfig.from_dict(doc), out)
+        after = stage_markers(out)
+        assert {name: after[name] for name in before} == before
+        rerun = {name.rsplit("_", 1)[0] for name in set(after) - set(before)}
+        assert rerun == {"train", "evaluate", "explain", "map-grades", "align"}
+
+    @pytest.mark.parametrize(
+        "bundled, set_path, edit, section, stage",
+        [
+            (
+                "analyst_survey.csv",
+                lambda doc, path: doc.__setitem__("survey_path", path),
+                # swap two features' points for every analyst
+                lambda text: text.replace("r2_liquidity", "@")
+                .replace("r3_profitability", "r2_liquidity")
+                .replace("@", "r3_profitability"),
+                "alignment",
+                "align",
+            ),
+            (
+                "scorecard_intervals.json",
+                lambda doc, path: doc.__setitem__("grading", {"mode": "fixed", "intervals_path": path}),
+                lambda text: text.replace("0.0828", "0.0128"),
+                "grading",
+                "map-grades",
+            ),
+        ],
+        ids=["survey", "intervals"],
+    )
+    def test_input_file_edited_in_place_is_not_served_stale(
+        self, tmp_path, bundled, set_path, edit, section, stage
+    ):
+        path = tmp_path / bundled
+        shutil.copyfile(DATA / bundled, path)
+        doc = copy.deepcopy(SMALL_DOC)
+        set_path(doc, str(path))
+        config = RunConfig.from_dict(doc)
+        out = tmp_path / "run"
+        first = run_pipeline(config, out)
+        before = stage_markers(out)
+        path.write_text(edit(path.read_text()))
+        rerun = run_pipeline(config, out)
+        fresh = run_pipeline(config, tmp_path / "fresh")
+        assert rerun[section] != first[section]
+        assert rerun == fresh
+        assert {name.rsplit("_", 1)[0] for name in set(stage_markers(out)) - set(before)} == {stage}
 
 
 class TestFormatReport:
@@ -216,6 +280,60 @@ class TestCli:
 
         doc = json.loads(align_out.read_text())
         assert "spearman" in doc
+
+    def test_stage_chain_matches_pipeline_artifacts(self, small_run, tmp_path, capsys):
+        config = small_run["config"]
+        stages = small_run["out"] / "stages"
+
+        def pipeline_artifact(name):
+            (path,) = stages.glob(f"*/{name}")
+            return path
+
+        gen_cfg = tmp_path / "gen.json"
+        gen_cfg.write_text(json.dumps(SMALL_DOC["generator"]))
+        split_cfg = tmp_path / "split.json"
+        split_cfg.write_text(json.dumps(SMALL_DOC["split"]))
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps(SMALL_DOC["model"]["params"]))
+        f = {name: str(tmp_path / name) for name in (
+            "data.csv", "reference_grades.csv", "features.csv", "features.meta.json",
+            "train_resampled.csv", "smote_audit.json", "model_rs.json", "grading.json",
+            "alignment.json",
+        )}
+        steps = [
+            ["generate", "--config", str(gen_cfg), "--seed", str(config.generator.seed),
+             "--out", f["data.csv"], "--grades-out", f["reference_grades.csv"]],
+            ["prepare", "--in", f["data.csv"], "--config", str(split_cfg),
+             "--seed", str(config.split.seed), "--out", f["features.csv"]],
+            ["resample", "--in", f["features.csv"], "--meta", f["features.meta.json"],
+             "--k", str(config.smote.k), "--ratio", str(config.smote.target_ratio),
+             "--seed", str(config.smote.seed), "--out", f["train_resampled.csv"],
+             "--audit", f["smote_audit.json"]],
+            ["train", "--model", config.model_kind, "--params", str(params),
+             "--in", f["train_resampled.csv"], "--seed", str(config.model_seed),
+             "--out", f["model_rs.json"]],
+            ["map-grades", "--model", f["model_rs.json"], "--reference", f["reference_grades.csv"],
+             "--in", f["features.csv"], "--meta", f["features.meta.json"],
+             "--split", "validation", "--out", f["grading.json"]],
+            ["align", "--attribution", str(pipeline_artifact("attributions.json")),
+             "--out", f["alignment.json"]],
+        ]
+        for argv in steps:
+            assert main(argv) == 0, f"subcommand failed: {argv[0]}"
+        capsys.readouterr()
+        for name, path in f.items():
+            assert Path(path).read_bytes() == pipeline_artifact(name).read_bytes(), name
+
+    def test_calibrated_grading_needs_meta(self, small_run, tmp_path, capsys):
+        stages = small_run["out"] / "stages"
+        (features,) = stages.glob("*/features.csv")
+        (model,) = stages.glob("*/model_rs.json")
+        (ref,) = stages.glob("*/reference_grades.csv")
+        rc = main(["map-grades", "--model", str(model), "--reference", str(ref),
+                   "--in", str(features), "--out", str(tmp_path / "grading.json")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error [map-grades]:" in err and "--meta" in err
 
     def test_fixed_interval_grading(self, tmp_path):
         from conftest import random_matrix

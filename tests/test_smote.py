@@ -69,6 +69,19 @@ class TestGeometry:
         for a, b in result.parents:
             assert local[b] in brute_force_knn(X_min, local[a], k)
 
+    def test_blocked_neighbors_match_one_shot_form(self):
+        # More rows than one block, with exact duplicates so that tied
+        # distances must fall back to the row-index order in every block.
+        from pdxplain.smote import NEIGHBOR_BLOCK, minority_neighbors
+
+        rng = np.random.default_rng(11)
+        X = rng.integers(0, 3, size=(2 * NEIGHBOR_BLOCK + 37, 4)).astype(float)
+        X[NEIGHBOR_BLOCK - 2 : NEIGHBOR_BLOCK + 3] = X[5]
+        d2 = ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)
+        np.fill_diagonal(d2, np.inf)
+        one_shot = np.argsort(d2, axis=1, kind="stable")[:, :7]
+        np.testing.assert_array_equal(minority_neighbors(X, 7), one_shot)
+
 
 class TestPreservation:
     def test_originals_unchanged_and_first(self):
