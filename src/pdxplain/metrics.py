@@ -50,14 +50,11 @@ def average_ranks(values: np.ndarray) -> np.ndarray:
     values = np.asarray(values)
     order = np.argsort(values, kind="mergesort")
     sorted_vals = values[order]
+    # Tie group g spans sorted positions first[g] through last[g].
+    first = np.flatnonzero(np.concatenate(([True], sorted_vals[1:] != sorted_vals[:-1])))
+    last = np.append(first[1:], values.size) - 1
     ranks = np.empty(values.size)
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    ranks[order] = np.repeat(0.5 * (first + last) + 1.0, last - first + 1)
     return ranks
 
 

@@ -24,6 +24,7 @@ from .trees import (
     TreeNode,
     fit_tree,
     predict_many,
+    sort_columns,
     tree_from_dict,
     tree_to_dict,
 )
@@ -111,7 +112,9 @@ class LogisticRegressionModel:
         self.seed = seed
 
     def predict_proba_array(self, X: np.ndarray) -> np.ndarray:
-        return sigmoid(X @ self.weights + self.bias)
+        # BLAS sums a column-major product in another order; C-ordered rows
+        # keep the probabilities bit-identical for any input layout.
+        return sigmoid(np.ascontiguousarray(X) @ self.weights + self.bias)
 
     def parameters(self) -> dict:
         return {"weights": [float(v) for v in self.weights], "bias": self.bias}
@@ -256,8 +259,9 @@ def _fit_adaboost(X, y, params: AdaBoostParams, columns, seed):
     w = np.full(n, 1.0 / n)
     stumps, alphas = [], []
     cfg = TreeConfig(max_depth=params.max_depth, criterion=GINI)
+    order = sort_columns(X)
     for _ in range(params.n_estimators):
-        stump = fit_tree(X, y, cfg, sample_weight=w)
+        stump = fit_tree(X, y, cfg, sample_weight=w, order=order)
         pred = (predict_many(stump, X) >= 0.5).astype(float)
         wrong = pred != y
         err = float(w[wrong].sum() / w.sum())
@@ -300,6 +304,7 @@ def _fit_gbt(X, y, params: GBTParams, columns, seed):
     F = np.full(n, base)
     rng = np.random.default_rng(seed)
     trees, losses = [], []
+    order = sort_columns(X) if params.subsample == 1.0 else None  # X is the same every round
     cfg = TreeConfig(
         max_depth=params.max_depth,
         min_samples_leaf=params.min_samples_leaf,
@@ -311,14 +316,17 @@ def _fit_gbt(X, y, params: GBTParams, columns, seed):
         p = sigmoid(F)
         g = p - y
         h = p * (1.0 - p)
-        rows = np.arange(n)
+        rows = None
         if params.subsample < 1.0:
             rows = np.sort(rng.choice(n, size=max(1, int(round(params.subsample * n))), replace=False))
         feats = None
         if params.colsample_bytree < 1.0:
             k = max(1, int(round(params.colsample_bytree * d)))
             feats = np.sort(rng.choice(d, size=k, replace=False))
-        tree = fit_tree(X[rows], (g[rows], h[rows]), cfg, allowed_features=feats)
+        if rows is None:
+            tree = fit_tree(X, (g, h), cfg, allowed_features=feats, order=order)
+        else:
+            tree = fit_tree(X[rows], (g[rows], h[rows]), cfg, allowed_features=feats)
         F = F + params.learning_rate * predict_many(tree, X)
         loss = logistic_loss(F, y)
         if not np.isfinite(loss):

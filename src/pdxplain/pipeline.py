@@ -405,11 +405,13 @@ def run_pipeline(config: RunConfig, out_dir) -> dict:
     ref_grades = read_reference_grades(gen_dir / "reference_grades.csv")
     generation = read_json(gen_dir / "generation.json")
 
-    prep_dir = run_stage(
-        "prepare", {"split": doc["split"], "countries": doc["countries"]}, [gen_dir],
-        lambda d: prepare_stage(records, config.split, config.countries,
-                                d / "features.csv", d / "features.meta.json"),
-    )
+    def _prepare(d: Path):
+        prep = prepare_stage(records, config.split, config.countries,
+                             d / "features.csv", d / "features.meta.json")
+        if not prep.split.validation.n:  # evaluate and map-grades score it
+            low, high = config.split.validation_years
+            raise ValueError(f"validation years {low}-{high} hold no rows")
+    prep_dir = run_stage("prepare", {"split": doc["split"], "countries": doc["countries"]}, [gen_dir], _prepare)
     splits = load_split(prep_dir / "features.csv", prep_dir / "features.meta.json")
 
     rs_dir = run_stage("resample", doc["smote"], [prep_dir], lambda d: resample_stage(

@@ -7,6 +7,12 @@ and cached per instance, so the resulting attributions satisfy the Shapley
 axioms to float precision; this is affordable because the grouped player
 count of this pipeline is small.
 
+The hybrid rows are built column-major: a block of coalitions is a
+(d, coalitions, n_background) array handed to the model as its (rows, d)
+transposed view, in the same row order. Tree routing gathers one feature of
+many rows per node, and in this layout that feature is one contiguous column
+instead of a read at a stride of d values.
+
 One-hot country columns can be collapsed into a single "country_code"
 player, which is what the expert-alignment comparison expects.
 """
@@ -111,16 +117,17 @@ def _coalition_values(model: Model, instance: np.ndarray, members, bg: np.ndarra
     n_bg, d = bg.shape
     total = 2**M
     out = np.empty(total)
-    bg_rows = np.arange(n_bg)
     block = max(1, 4_000_000 // (n_bg * d))  # cap scratch memory
     for start in range(0, total, block):
         codes = np.arange(start, min(start + block, total))
-        big = np.repeat(bg[None, :, :], codes.size, axis=0)
+        big = np.empty((d, codes.size, n_bg))
+        big[:] = bg.T[:, None, :]
         for i, cols in enumerate(members):
             on = np.flatnonzero((codes >> i) & 1)
             if on.size:
-                big[np.ix_(on, bg_rows, cols)] = instance[cols]
-        preds = predict_proba(model, big.reshape(-1, d))
+                big[np.ix_(cols, on)] = instance[cols, None, None]
+        # Row c * n_bg + b is background row b under coalition codes[c].
+        preds = predict_proba(model, big.reshape(d, -1).T)
         out[start : start + codes.size] = preds.reshape(codes.size, n_bg).mean(axis=1)
     return out
 

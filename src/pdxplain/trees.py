@@ -6,6 +6,15 @@ a minimum split gain) for boosted trees. Split search is exact: candidate
 thresholds are the midpoints between consecutive sorted unique feature
 values. Routing is strict-inequality (left iff value < threshold) in both
 fitting and prediction.
+
+Each column is sorted once, not once per node: ``sort_columns`` gives the
+(d, n) block of row orders (a stable sort, so ties stay in row order), the
+"column block" of XGBoost's exact greedy search (Chen & Guestrin, KDD 2016,
+section 4.1). A node holds its rows' orders; a split keeps each child's share
+with a stable boolean filter, so every child order is still sorted by
+(value, row) and the trees equal those of a per-node sort. Ensembles whose
+rows do not change between trees (unsampled boosting, AdaBoost) build the
+block once per fit and pass it to every tree.
 """
 
 from __future__ import annotations
@@ -65,19 +74,28 @@ class TreeConfig:
             raise ValueError("lam and gamma must be non-negative")
 
 
+def sort_columns(X: np.ndarray) -> np.ndarray:
+    """The (d, n) block of row orders: row j lists the rows of X sorted by
+    column j, ties in row order."""
+    XT = np.ascontiguousarray(np.asarray(X, dtype=float).T)
+    return np.argsort(XT, axis=1, kind="stable")
+
+
 def fit_tree(
     X: np.ndarray,
     targets,
     config: TreeConfig,
     sample_weight: Optional[np.ndarray] = None,
     allowed_features: Optional[Sequence[int]] = None,
+    order: Optional[np.ndarray] = None,
 ) -> TreeNode:
     """Fit one tree by greedy exact best-split recursion.
 
     ``targets`` is a 0/1 label vector in gini mode, or a (gradient, hessian)
     pair in second_order mode. ``allowed_features`` restricts the columns the
     tree may split on (global indices); per-split feature subsampling then
-    samples within that set.
+    samples within that set. ``order`` is ``sort_columns(X)``, for callers
+    that fit several trees on the same X; without it the tree sorts X itself.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] < 1:
@@ -105,26 +123,36 @@ def fit_tree(
         s1, s2 = g, h
 
     allowed = np.arange(X.shape[1]) if allowed_features is None else np.asarray(sorted(allowed_features), dtype=int)
+    if order is None:
+        order = sort_columns(X)
+    elif order.shape != X.shape[::-1]:
+        raise ValueError("order must be the (d, n) block of sort_columns(X)")
+    if allowed_features is not None:
+        order = order[allowed]
+    XT = np.ascontiguousarray(X.T)
     rng = np.random.default_rng(config.seed)
-    builder = _Builder(X, s1, s2, config, allowed, rng)
-    return builder.build(np.arange(X.shape[0]), depth=0)
+    builder = _Builder(XT, s1, s2, config, allowed, rng)
+    return builder.build(np.arange(X.shape[0]), order, depth=0)
 
 
 class _Builder:
-    def __init__(self, X, s1, s2, config: TreeConfig, allowed, rng):
-        self.X = X
+    def __init__(self, XT, s1, s2, config: TreeConfig, allowed, rng):
+        self.XT = XT  # (d, n): one contiguous row per feature
         self.s1 = s1
         self.s2 = s2
         self.cfg = config
         self.allowed = allowed
         self.rng = rng
+        self.side = np.empty(XT.shape[1], dtype=bool)  # scratch: row goes left
 
     def leaf_value(self, t1: float, t2: float) -> float:
         if self.cfg.criterion == GINI:
             return t1 / t2
         return -t1 / (t2 + self.cfg.lam)
 
-    def build(self, idx: np.ndarray, depth: int) -> TreeNode:
+    def build(self, idx: np.ndarray, order: np.ndarray, depth: int) -> TreeNode:
+        """``idx`` holds the node's rows ascending; row j of ``order`` holds
+        them sorted by allowed feature j."""
         t1 = float(self.s1[idx].sum())
         t2 = float(self.s2[idx].sum())
         leaf = TreeNode.leaf(self.leaf_value(t1, t2))
@@ -132,24 +160,31 @@ class _Builder:
         if depth >= self.cfg.max_depth or idx.size < 2 * msl or idx.size < 2:
             return leaf
 
-        feats = self.allowed
+        pick = slice(None)  # rows of ``order`` searched at this node
         if self.cfg.feature_subsample_fraction < 1.0:
-            count = max(1, int(np.ceil(self.cfg.feature_subsample_fraction * feats.size)))
-            feats = np.sort(self.rng.choice(feats, size=count, replace=False))
+            count = max(1, int(np.ceil(self.cfg.feature_subsample_fraction * self.allowed.size)))
+            feats = np.sort(self.rng.choice(self.allowed, size=count, replace=False))
+            pick = np.searchsorted(self.allowed, feats)
 
-        best = self._best_split(idx, feats, t1, t2)
+        best = self._best_split(order[pick], self.allowed[pick], t1, t2)
         if best is None:
             return leaf
         feature, threshold = best
-        mask = self.X[idx, feature] < threshold
+        mask = self.XT[feature, idx] < threshold
         n_left = int(mask.sum())
         if n_left < msl or idx.size - n_left < msl:  # degenerate float midpoint
             return leaf
-        left = self.build(idx[mask], depth + 1)
-        right = self.build(idx[~mask], depth + 1)
+        # Stable filter: each child keeps its rows in the parent's order.
+        self.side[idx] = mask
+        goes_left = self.side.take(order).ravel()
+        flat = order.ravel()
+        left_order = flat.compress(goes_left).reshape(-1, n_left)
+        right_order = flat.compress(~goes_left).reshape(-1, idx.size - n_left)
+        left = self.build(idx[mask], left_order, depth + 1)
+        right = self.build(idx[~mask], right_order, depth + 1)
         return TreeNode.split(feature, threshold, left, right)
 
-    def _best_split(self, idx, feats, t1, t2):
+    def _best_split(self, order, feats, t1, t2):
         """Scan all candidate thresholds of all features at once.
 
         Returns (feature, threshold) of the maximal-gain split, or None when
@@ -157,22 +192,22 @@ class _Builder:
         then the lowest threshold.
         """
         cfg = self.cfg
-        Xs = self.X[np.ix_(idx, feats)]
-        m = idx.size
-        order = np.argsort(Xs, axis=0, kind="stable")
-        xs = np.take_along_axis(Xs, order, axis=0)
-        a = self.s1[idx][order]  # (m, f) per-column reorder
-        b = self.s2[idx][order]
-        al = np.cumsum(a, axis=0)[:-1]  # left sums through position i
-        bl = np.cumsum(b, axis=0)[:-1]
+        m = order.shape[1]
+        xs = self.XT.ravel().take(order + self.XT.shape[1] * feats[:, None])  # (f, m) sorted values
+        # Candidate i puts sorted positions 0..i left. Gains are scored only
+        # where the sorted value changes; the flat order stays feature-major.
+        valid = np.zeros(order.shape, dtype=bool)
+        np.greater(xs[:, 1:], xs[:, :-1], out=valid[:, :-1])
+        msl = cfg.min_samples_leaf
+        valid[:, : msl - 1] = False
+        valid[:, m - msl :] = False
+        cand = np.flatnonzero(valid)
+        if not cand.size:
+            return None
+        al = np.cumsum(self.s1.take(order), axis=1).ravel().take(cand)
+        bl = np.cumsum(self.s2.take(order), axis=1).ravel().take(cand)
         ar = t1 - al
         br = t2 - bl
-
-        valid = xs[1:] > xs[:-1]
-        msl = cfg.min_samples_leaf
-        if msl > 1:
-            pos = np.arange(1, m)[:, None]
-            valid = valid & (pos >= msl) & (m - pos >= msl)
 
         with np.errstate(divide="ignore", invalid="ignore"):
             if cfg.criterion == GINI:
@@ -186,15 +221,14 @@ class _Builder:
                 parent = t1 * t1 / (t2 + cfg.lam)
                 gain = 0.5 * (al * al / (bl + cfg.lam) + ar * ar / (br + cfg.lam) - parent) - cfg.gamma
                 floor = 0.0
-        gain = np.where(valid & np.isfinite(gain), gain, -np.inf)
+        gain = np.where(np.isfinite(gain), gain, -np.inf)
 
-        flat = np.argmax(gain.T)  # feature-major scan: lowest feature, then lowest threshold
-        best_gain = gain.T.flat[flat]
-        if not np.isfinite(best_gain) or best_gain <= floor:
+        k = np.argmax(gain)  # first maximum: lowest feature, then lowest threshold
+        if not np.isfinite(gain[k]) or gain[k] <= floor:
             return None
-        j, i = divmod(flat, gain.shape[0])
-        threshold = 0.5 * (xs[i, j] + xs[i + 1, j])
-        return int(feats[j]), float(threshold)
+        f, i = divmod(int(cand[k]), m)
+        threshold = 0.5 * (xs[f, i] + xs[f, i + 1])
+        return int(feats[f]), float(threshold)
 
 
 def _gini_term(s1, s2):

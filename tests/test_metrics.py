@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.stats
 
 import pdxplain as px
+from pdxplain.metrics import average_ranks
 
 
 def concordance_auc(labels, scores):
@@ -21,6 +23,47 @@ def concordance_auc(labels, scores):
             elif p == q:
                 total += 0.5
     return total / (pos.size * neg.size)
+
+
+def loop_average_ranks(values):
+    """Per-element tie scan: the reference the vectorized ranks must equal
+    float for float."""
+    values = np.asarray(values)
+    order = np.argsort(values, kind="mergesort")
+    sorted_vals = values[order]
+    ranks = np.empty(values.size)
+    i = 0
+    while i < values.size:
+        j = i
+        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+class TestAverageRanks:
+    @pytest.mark.parametrize("levels", [1, 2, 3, 7, 1000])
+    def test_heavy_ties_match_scipy_and_the_loop(self, levels):
+        rng = np.random.default_rng(levels)
+        for n in (1, 2, 5, 64, 999):
+            values = rng.integers(0, levels, size=n) / 4.0
+            ranks = average_ranks(values)
+            np.testing.assert_array_equal(ranks, scipy.stats.rankdata(values, method="average"))
+            np.testing.assert_array_equal(ranks, loop_average_ranks(values))
+
+    def test_empty(self):
+        assert average_ranks(np.array([])).shape == (0,)
+
+    def test_auc_unchanged_under_ties(self):
+        rng = np.random.default_rng(3)
+        labels = rng.integers(0, 2, size=500)
+        scores = rng.integers(0, 9, size=500) / 8.0
+        ranks = loop_average_ranks(scores)
+        n_pos = int(labels.sum())
+        n_neg = labels.size - n_pos
+        want = (float(ranks[labels == 1].sum()) - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+        assert px.roc_auc(labels, scores) == want
 
 
 class TestAuc:

@@ -60,6 +60,13 @@ class TestLogisticRegression:
             assert np.abs(gw - fw).max() / max(np.abs(fw).max(), 1e-12) < 1e-5
             assert abs(gb - fb) / max(abs(fb), 1e-12) < 1e-5
 
+    def test_probabilities_do_not_depend_on_memory_layout(self):
+        fm = random_matrix(2000, seed=3)
+        model = px.fit("lr", fm, {"epochs": 50})
+        np.testing.assert_array_equal(
+            model.predict_proba_array(np.asfortranarray(fm.X)), model.predict_proba_array(fm.X)
+        )
+
     def test_divergence_raises_with_epoch(self):
         fm = random_matrix(30, seed=2, countries=0)
         with pytest.raises(ValueError, match="epoch"):

@@ -98,6 +98,12 @@ class TestRunPipeline:
         produced = list(out.rglob("data.csv"))
         assert produced, "generate stage output should be retained"
 
+    def test_empty_validation_window_fails_in_prepare(self, tmp_path):
+        doc = copy.deepcopy(SMALL_DOC)
+        doc["split"]["validation_years"] = [2019, 2020]  # past the panel's last year
+        with pytest.raises(StageError, match=r"'prepare'.*validation years 2019-2020 hold no rows"):
+            run_pipeline(RunConfig.from_dict(doc), tmp_path / "empty_validation")
+
     def test_seed_propagation_fills_stage_seeds(self):
         config = RunConfig.from_dict({"seed": 5, "generator": SMALL_DOC["generator"]})
         other = RunConfig.from_dict({"seed": 6, "generator": SMALL_DOC["generator"]})

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import pdxplain as px
-from pdxplain.shapley import build_players
+from pdxplain.shapley import _coalition_values, build_players
 
 from conftest import random_matrix
 
@@ -148,6 +148,29 @@ class TestAxioms:
             phi = px.shapley_values(model, fm.X[i], cfg)
             fx = px.predict_proba(model, fm.X[i : i + 1])[0]
             assert abs(phi.sum() - (fx - base)) < 1e-9
+
+
+class TestCoalitionValues:
+    @pytest.mark.parametrize("kind, params", [
+        ("gbt", {"n_estimators": 12, "max_depth": 4}),
+        ("rf", {"n_estimators": 6, "max_depth": 5}),
+        ("lr", None),
+    ])
+    def test_column_major_rows_equal_value_function(self, kind, params):
+        """The batched hybrid rows give every coalition the value of the
+        row-by-row value function."""
+        fm = random_matrix(150, seed=11, columns=["f0", "f1", "f2", "country_FR", "country_GB", "country_BE"])
+        fm.X[:, 1] += 1.5 * (2 * fm.y - 1)
+        model = px.fit(kind, fm, params, seed=2)
+        cfg = px.AttributionConfig(background=fm.X[:30], group_map=px.group_countries(fm.columns))
+        names, members = build_players(fm.columns, cfg.group_map)
+        x = fm.X[77]
+        v = _coalition_values(model, x, members, cfg.background)
+        want = [
+            px.value_function(model, x, [i for i in range(len(names)) if code >> i & 1], cfg)
+            for code in range(2 ** len(names))
+        ]
+        assert np.max(np.abs(v - want)) <= 1e-15
 
 
 class TestGrouping:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import pdxplain as px
+from pdxplain import models, trees
 from pdxplain.trees import (
     GINI,
     SECOND_ORDER,
@@ -9,6 +11,7 @@ from pdxplain.trees import (
     fit_tree,
     predict_many,
     predict_tree,
+    sort_columns,
     tree_from_dict,
     tree_to_dict,
 )
@@ -227,3 +230,158 @@ class TestSerialization:
         back = tree_from_dict(tree_to_dict(tree))
         probe = rng.normal(size=(60, 3))
         np.testing.assert_array_equal(predict_many(tree, probe), predict_many(back, probe))
+
+
+class PerNodeSortBuilder:
+    """Split-search oracle: every node argsorts its own rows again, with no
+    order shared between nodes or trees. Trees grown from the column block
+    must equal its trees exactly."""
+
+    def __init__(self, X, s1, s2, config, allowed):
+        self.X, self.s1, self.s2, self.cfg, self.allowed = X, s1, s2, config, allowed
+        self.rng = np.random.default_rng(config.seed)
+
+    def build(self, idx, depth):
+        cfg = self.cfg
+        t1 = float(self.s1[idx].sum())
+        t2 = float(self.s2[idx].sum())
+        leaf = TreeNode.leaf(t1 / t2 if cfg.criterion == GINI else -t1 / (t2 + cfg.lam))
+        msl = cfg.min_samples_leaf
+        if depth >= cfg.max_depth or idx.size < 2 * msl or idx.size < 2:
+            return leaf
+        feats = self.allowed
+        if cfg.feature_subsample_fraction < 1.0:
+            count = max(1, int(np.ceil(cfg.feature_subsample_fraction * feats.size)))
+            feats = np.sort(self.rng.choice(feats, size=count, replace=False))
+        best = self.best_split(idx, feats, t1, t2)
+        if best is None:
+            return leaf
+        feature, threshold = best
+        mask = self.X[idx, feature] < threshold
+        n_left = int(mask.sum())
+        if n_left < msl or idx.size - n_left < msl:
+            return leaf
+        return TreeNode.split(feature, threshold, self.build(idx[mask], depth + 1),
+                              self.build(idx[~mask], depth + 1))
+
+    def best_split(self, idx, feats, t1, t2):
+        cfg = self.cfg
+        Xs = self.X[np.ix_(idx, feats)]
+        m = idx.size
+        order = np.argsort(Xs, axis=0, kind="stable")
+        xs = np.take_along_axis(Xs, order, axis=0)
+        al = np.cumsum(self.s1[idx][order], axis=0)[:-1]
+        bl = np.cumsum(self.s2[idx][order], axis=0)[:-1]
+        ar, br = t1 - al, t2 - bl
+        valid = xs[1:] > xs[:-1]
+        if cfg.min_samples_leaf > 1:
+            pos = np.arange(1, m)[:, None]
+            valid = valid & (pos >= cfg.min_samples_leaf) & (m - pos >= cfg.min_samples_leaf)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if cfg.criterion == GINI:
+                gain = trees._gini_term(t1, t2) - trees._gini_term(al, bl) - trees._gini_term(ar, br)
+                floor = 1e-12
+            else:
+                parent = t1 * t1 / (t2 + cfg.lam)
+                gain = 0.5 * (al * al / (bl + cfg.lam) + ar * ar / (br + cfg.lam) - parent) - cfg.gamma
+                floor = 0.0
+        gain = np.where(valid & np.isfinite(gain), gain, -np.inf)
+        flat = np.argmax(gain.T)
+        if not np.isfinite(gain.T.flat[flat]) or gain.T.flat[flat] <= floor:
+            return None
+        j, i = divmod(flat, gain.shape[0])
+        return int(feats[j]), float(0.5 * (xs[i, j] + xs[i + 1, j]))
+
+
+def per_node_sort_fit(X, targets, config, sample_weight=None, allowed_features=None, order=None):
+    """``fit_tree`` through the oracle builder; ``order`` is ignored."""
+    X = np.asarray(X, dtype=float)
+    if config.criterion == GINI:
+        w = np.ones(X.shape[0]) if sample_weight is None else np.asarray(sample_weight, dtype=float)
+        s1, s2 = w * np.asarray(targets, dtype=float), w
+    else:
+        s1, s2 = (np.asarray(t, dtype=float) for t in targets)
+    allowed = np.arange(X.shape[1]) if allowed_features is None else np.asarray(sorted(allowed_features))
+    return PerNodeSortBuilder(X, s1, s2, config, allowed).build(np.arange(X.shape[0]), 0)
+
+
+def per_tree_sort_fit(X, targets, config, sample_weight=None, allowed_features=None, order=None):
+    """``fit_tree`` with the shared order dropped, so each tree sorts for itself."""
+    return fit_tree(X, targets, config, sample_weight=sample_weight, allowed_features=allowed_features)
+
+
+def tie_heavy_data(n=400, seed=0):
+    """Continuous, coarsely rounded, binary and constant columns, with a
+    block of duplicated rows, so most split candidates sit inside tie groups.
+    The last column mirrors the rounded one: the same splits, gains equal up
+    to rounding, so a sum over a tie group in another row order can change
+    which of the two wins. Gradients span sixteen decades."""
+    rng = np.random.default_rng(seed)
+    X = np.column_stack([
+        rng.normal(size=n),
+        np.round(rng.normal(size=n), 1),
+        rng.integers(0, 2, size=n).astype(float),
+        rng.integers(0, 4, size=n) / 3.0,
+        np.zeros(n),
+        rng.integers(0, 2, size=n).astype(float),
+    ])
+    X = np.column_stack([X, -X[:, 1]])
+    X[n - 60:] = X[:60]
+    y = ((X[:, 0] + X[:, 1] + X[:, 2] + rng.normal(size=n)) > 0.8).astype(float)
+    g = rng.normal(size=n) * 10.0 ** rng.integers(-8, 9, size=n)
+    h = rng.random(n) + 0.05
+    return X, y, g, h
+
+
+ORACLE_CASES = {
+    "gini_sample_weights": (dict(max_depth=7, criterion=GINI), "y", "weights", None),
+    "second_order_gamma_lam": (dict(max_depth=8, criterion=SECOND_ORDER, gamma=0.3, lam=2.5), "gh", None, None),
+    "duplicates_and_binary_columns": (dict(max_depth=9, criterion=GINI), "y", None, None),
+    "min_samples_leaf": (dict(max_depth=8, criterion=SECOND_ORDER, min_samples_leaf=6), "gh", None, None),
+    "feature_subsample": (dict(max_depth=8, criterion=GINI, feature_subsample_fraction=0.5, seed=4), "y", None, None),
+    "allowed_features": (dict(max_depth=8, criterion=SECOND_ORDER, lam=0.5), "gh", None, [6, 5, 1, 2, 4]),
+}
+
+
+class TestColumnBlock:
+    def test_sort_columns_orders_by_value_then_row(self):
+        X = tie_heavy_data()[0]
+        rows = np.arange(X.shape[0])
+        order = sort_columns(X)
+        assert order.shape == (X.shape[1], X.shape[0])
+        for j in range(X.shape[1]):
+            np.testing.assert_array_equal(order[j], np.lexsort((rows, X[:, j])))
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    @pytest.mark.parametrize("shared", [False, True], ids=["own_sort", "shared_block"])
+    def test_equals_per_node_sort(self, case, shared):
+        X, y, g, h = tie_heavy_data(seed=len(case))
+        kw, targets, weights, allowed = ORACLE_CASES[case]
+        targets = y if targets == "y" else (g, h)
+        sample_weight = None if weights is None else np.random.default_rng(9).random(y.size) + 0.1
+        cfg = TreeConfig(**kw)
+        got = fit_tree(X, targets, cfg, sample_weight=sample_weight, allowed_features=allowed,
+                       order=sort_columns(X) if shared else None)
+        want = per_node_sort_fit(X, targets, cfg, sample_weight=sample_weight, allowed_features=allowed)
+        assert tree_to_dict(got) == tree_to_dict(want)
+        assert len(tree_to_dict(got)["nodes"]) > 15
+
+    def test_order_of_another_shape_rejected(self):
+        X = np.zeros((4, 2))
+        with pytest.raises(ValueError, match="sort_columns"):
+            fit_tree(X, np.array([0.0, 1.0, 0.0, 1.0]), TreeConfig(), order=np.zeros((4, 2), dtype=int))
+
+    @pytest.mark.parametrize("kind, params", [
+        ("gbt", {"n_estimators": 8, "max_depth": 6}),
+        ("gbt", {"n_estimators": 8, "max_depth": 6, "subsample": 0.8}),
+        ("gbt", {"n_estimators": 8, "max_depth": 6, "colsample_bytree": 0.6}),
+        ("adaboost", {"n_estimators": 25, "max_depth": 2}),
+    ])
+    @pytest.mark.parametrize("reference", [per_tree_sort_fit, per_node_sort_fit], ids=["per_tree", "per_node"])
+    def test_ensemble_fits_equal_fits_that_sort_per_tree(self, kind, params, reference, monkeypatch):
+        X, y, _, _ = tie_heavy_data(seed=5)
+        fm = px.FeatureMatrix([f"f{j}" for j in range(X.shape[1])], X, y.astype(int),
+                              [f"R{i}" for i in range(y.size)], np.full(y.size, 2010))
+        got = px.fit(kind, fm, params, seed=3).parameters()
+        monkeypatch.setattr(models, "fit_tree", reference)
+        assert got == px.fit(kind, fm, params, seed=3).parameters()
