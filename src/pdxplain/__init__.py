@@ -1,7 +1,7 @@
 """Company default prediction on synthetic financial panels, with exact
 Shapley attributions, rating-grade mapping, and expert alignment scoring."""
 
-__version__ = "0.1.0"  # set before the submodule imports: pipeline reads it at import
+__version__ = "0.2.0"  # set before the submodule imports: pipeline reads it at import
 
 from .alignment import AlignmentReport, ExpertSurvey, align, aggregate_and_rank, load_survey
 from .dataprep import (

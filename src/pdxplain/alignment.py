@@ -1,6 +1,6 @@
 """Analyst feature-weight surveys and expert-vs-model agreement scoring.
 
-Each analyst distributes exactly 100 points over the model's grouped
+Each analyst distributes 100 points (to within 1e-9) over the model's grouped
 features. Aggregation sums the points; the agreement score bundles Spearman
 rho, Kendall tau-b, top-k overlap, and a per-feature share disagreement
 delta = (expert weight share) - (model |attribution| share).
@@ -33,6 +33,7 @@ PLAYER_FEATURES = (
 )
 
 POINTS_PER_ANALYST = 100.0
+POINTS_TOLERANCE = 1e-9  # decimal points need not sum to 100 exactly in binary
 
 
 @dataclass
@@ -93,10 +94,10 @@ def _parse_survey(reader) -> ExpertSurvey:
         if missing:
             raise ValueError(f"analyst {analyst!r} has no entry for {missing}")
         total = sum(points[analyst].values())
-        if total != POINTS_PER_ANALYST:
+        if abs(total - POINTS_PER_ANALYST) > POINTS_TOLERANCE:
             raise ValueError(
                 f"analyst {analyst!r} distributed {total:g} points, expected "
-                f"exactly {POINTS_PER_ANALYST:g}"
+                f"{POINTS_PER_ANALYST:g}"
             )
     return ExpertSurvey(analysts=analysts, features=features, points=points)
 

@@ -2,10 +2,18 @@
 
 Every model exposes fit + predict_proba; probabilities are for the default
 class (label 1). Logistic regression trains by deterministic full-batch
-gradient descent; AdaBoost reweights gini stumps; the random forest averages
-leaf class probabilities of bootstrap trees; the boosted-tree model runs
-second-order boosting on the logistic loss with L2 leaf regularization and a
-minimum split gain.
+gradient descent. The three tree ensembles are one ``TreeEnsembleModel``,
+``link(base + sum_t w_t * tree_t(x))``, and differ only in how they fit and
+in their link:
+
+- AdaBoost reweights gini stumps; each stump's leaves hold its +1/-1 vote,
+  its weight is its alpha, and the link is the vote share
+  ``0.5 * (1 + F / sum(w))``.
+- The random forest fits bootstrap trees whose leaves hold class shares;
+  weights are 1 and the link averages, ``F / T``.
+- Boosting runs second-order rounds on the logistic loss with L2 leaf
+  regularization and a minimum split gain; weights are the learning rate,
+  ``base`` is the log-odds prior and the link is the sigmoid.
 """
 
 from __future__ import annotations
@@ -120,82 +128,52 @@ class LogisticRegressionModel:
         return {"weights": [float(v) for v in self.weights], "bias": self.bias}
 
 
-class AdaBoostModel:
-    kind = "adaboost"
+def _vote_share(F, weights):
+    total = float(weights.sum())
+    if total == 0.0:
+        return np.full(F.shape[0], 0.5)
+    # Normalized vote margin in [-1, 1], mapped linearly onto [0, 1] so the
+    # 0.5 threshold coincides with the majority vote.
+    return 0.5 * (1.0 + F / total)
 
-    def __init__(self, stumps, alphas, params: AdaBoostParams, feature_names, seed=0):
-        self.stumps: list[TreeNode] = list(stumps)
-        self.alphas = np.asarray(alphas, dtype=float)
+
+# kind -> link(F, weights) from the ensemble's summed score to a probability
+LINKS = {
+    "adaboost": _vote_share,
+    "rf": lambda F, weights: F / len(weights),
+    "gbt": lambda F, weights: sigmoid(F),
+}
+
+
+class TreeEnsembleModel:
+    """``link(base + sum_t w_t * tree_t(x))`` with the link of ``kind``."""
+
+    def __init__(self, kind, trees, weights, base, params, feature_names, seed=0, training_loss=()):
+        self.kind = kind
+        self.trees: list[TreeNode] = list(trees)
+        self.weights = np.asarray(weights, dtype=float)
+        self.base = float(base)
         self.params = params
         self.feature_names = list(feature_names)
         self.seed = seed
+        self.training_loss = list(training_loss)
 
     def predict_proba_array(self, X: np.ndarray) -> np.ndarray:
-        total = float(self.alphas.sum())
-        if not self.stumps or total == 0.0:
-            return np.full(X.shape[0], 0.5)
-        votes = np.zeros(X.shape[0])
-        for stump, alpha in zip(self.stumps, self.alphas):
-            votes += alpha * (2.0 * (predict_many(stump, X) >= 0.5) - 1.0)
-        # Normalized vote margin in [-1, 1], mapped linearly onto [0, 1] so
-        # the 0.5 threshold coincides with the majority vote.
-        return 0.5 * (1.0 + votes / total)
+        F = np.full(X.shape[0], self.base)
+        for tree, w in zip(self.trees, self.weights):
+            F += w * predict_many(tree, X)
+        return LINKS[self.kind](F, self.weights)
 
     def parameters(self) -> dict:
         return {
-            "alphas": [float(a) for a in self.alphas],
-            "trees": [tree_to_dict(t) for t in self.stumps],
-        }
-
-
-class RandomForestModel:
-    kind = "rf"
-
-    def __init__(self, trees, params: RFParams, feature_names, seed=0):
-        self.trees: list[TreeNode] = list(trees)
-        self.params = params
-        self.feature_names = list(feature_names)
-        self.seed = seed
-
-    def predict_proba_array(self, X: np.ndarray) -> np.ndarray:
-        acc = np.zeros(X.shape[0])
-        for tree in self.trees:
-            acc += predict_many(tree, X)
-        return acc / len(self.trees)
-
-    def parameters(self) -> dict:
-        return {"trees": [tree_to_dict(t) for t in self.trees]}
-
-
-class GradientBoostedTreesModel:
-    kind = "gbt"
-
-    def __init__(self, trees, base_score, params: GBTParams, feature_names, seed=0, training_loss=None):
-        self.trees: list[TreeNode] = list(trees)
-        self.base_score = float(base_score)
-        self.params = params
-        self.feature_names = list(feature_names)
-        self.seed = seed
-        self.training_loss = list(training_loss) if training_loss is not None else []
-
-    def decision_scores(self, X: np.ndarray) -> np.ndarray:
-        F = np.full(X.shape[0], self.base_score)
-        for tree in self.trees:
-            F += self.params.learning_rate * predict_many(tree, X)
-        return F
-
-    def predict_proba_array(self, X: np.ndarray) -> np.ndarray:
-        return sigmoid(self.decision_scores(X))
-
-    def parameters(self) -> dict:
-        return {
-            "base_score": self.base_score,
+            "base": self.base,
+            "weights": [float(w) for w in self.weights],
             "trees": [tree_to_dict(t) for t in self.trees],
             "training_loss": [float(v) for v in self.training_loss],
         }
 
 
-Model = LogisticRegressionModel | AdaBoostModel | RandomForestModel | GradientBoostedTreesModel
+Model = LogisticRegressionModel | TreeEnsembleModel
 
 
 def _as_xy(data):
@@ -269,13 +247,23 @@ def _fit_adaboost(X, y, params: AdaBoostParams, columns, seed):
             break
         err = min(max(err, 1e-12), 1 - 1e-12)
         alpha = params.learning_rate * np.log((1 - err) / err)
-        stumps.append(stump)
+        stumps.append(_to_votes(stump))
         alphas.append(alpha)
         if err <= 1e-12:
             break
         w = w * np.exp(alpha * wrong)
         w /= w.sum()
-    return AdaBoostModel(stumps, alphas, params, columns, seed)
+    return TreeEnsembleModel("adaboost", stumps, alphas, 0.0, params, columns, seed)
+
+
+def _to_votes(node: TreeNode) -> TreeNode:
+    """Turn each leaf's default share into its +1/-1 vote, in place."""
+    if node.is_leaf:
+        node.value = 1.0 if node.value >= 0.5 else -1.0
+    else:
+        _to_votes(node.left)
+        _to_votes(node.right)
+    return node
 
 
 def _fit_rf(X, y, params: RFParams, columns, seed):
@@ -294,7 +282,7 @@ def _fit_rf(X, y, params: RFParams, columns, seed):
             seed=tree_seed,
         )
         trees.append(fit_tree(X[boot], y[boot], cfg))
-    return RandomForestModel(trees, params, columns, seed)
+    return TreeEnsembleModel("rf", trees, np.ones(len(trees)), 0.0, params, columns, seed)
 
 
 def _fit_gbt(X, y, params: GBTParams, columns, seed):
@@ -333,7 +321,9 @@ def _fit_gbt(X, y, params: GBTParams, columns, seed):
             raise ValueError(f"non-finite training loss at boosting round {rnd}")
         trees.append(tree)
         losses.append(loss)
-    return GradientBoostedTreesModel(trees, base, params, columns, seed, training_loss=losses)
+    return TreeEnsembleModel(
+        "gbt", trees, [params.learning_rate] * len(trees), base, params, columns, seed, losses
+    )
 
 
 def predict_proba(model: Model, data) -> np.ndarray:
@@ -377,20 +367,12 @@ def load_model(path) -> Model:
         doc = json.load(fh)
     kind = doc["kind"]
     params = PARAM_CLASSES[kind](**doc["hyperparameters"])
-    names = doc["feature_names"]
-    seed = doc["seed"]
+    args = (params, doc["feature_names"], doc["seed"])
     p = doc["parameters"]
     if kind == "lr":
-        return LogisticRegressionModel(p["weights"], p["bias"], params, names, seed)
-    if kind == "adaboost":
-        return AdaBoostModel([tree_from_dict(t) for t in p["trees"]], p["alphas"], params, names, seed)
-    if kind == "rf":
-        return RandomForestModel([tree_from_dict(t) for t in p["trees"]], params, names, seed)
-    return GradientBoostedTreesModel(
-        [tree_from_dict(t) for t in p["trees"]],
-        p["base_score"],
-        params,
-        names,
-        seed,
-        training_loss=p.get("training_loss"),
-    )
+        return LogisticRegressionModel(p["weights"], p["bias"], *args)
+    missing = {"base", "weights", "trees", "training_loss"} - set(p)
+    if missing:
+        raise ValueError(f"{path} is an older {kind} model file (no {sorted(missing)}); retrain it")
+    trees = [tree_from_dict(t) for t in p["trees"]]
+    return TreeEnsembleModel(kind, trees, p["weights"], p["base"], *args, p["training_loss"])

@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
+import os
 from dataclasses import asdict, dataclass, is_dataclass
 from importlib import resources
 from pathlib import Path
@@ -107,6 +109,9 @@ class RunConfig:
     def __post_init__(self):
         if self.grading_mode not in ("calibrate", "fixed"):
             raise ValueError("grading_mode must be 'calibrate' or 'fixed'")
+        if not self.group_countries:
+            raise ValueError("attribution.group_countries must be true: align compares the "
+                             "attribution with survey features, which have no country_XX columns")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
@@ -148,29 +153,12 @@ class RunConfig:
             return cls.from_dict(json.load(fh))
 
     def to_dict(self) -> dict:
-        g = self.generator
         return {
             "seed": self.seed,
             "countries": list(self.countries),
-            "generator": {
-                "n_companies": g.n_companies,
-                "year_range": list(g.year_range),
-                "imbalance_ratio": g.imbalance_ratio,
-                "missing_rates": dict(sorted(g.missing_rates.items())),
-                "signal_strength": g.signal_strength,
-                "seed": g.seed,
-            },
-            "split": {
-                "train_years": list(self.split.train_years),
-                "validation_years": list(self.split.validation_years),
-                "test_fraction": self.split.test_fraction,
-                "seed": self.split.seed,
-            },
-            "smote": {
-                "k": self.smote.k,
-                "target_ratio": self.smote.target_ratio,
-                "seed": self.smote.seed,
-            },
+            "generator": asdict(self.generator),
+            "split": asdict(self.split),
+            "smote": asdict(self.smote),
             "model": {
                 "kind": self.model_kind,
                 "params": asdict(self.model_params)
@@ -470,56 +458,66 @@ def run_pipeline(config: RunConfig, out_dir) -> dict:
             "grading": grading,
             "alignment": align_doc,
         }
-        write_json(out_dir / "report.json", bundle)
-        _write_tables(out_dir, bundle)
+        _write_bundle(out_dir, bundle)
     except Exception as exc:
         raise StageError("report", exc) from exc
     return read_json(out_dir / "report.json")
 
 
-def _write_tables(out_dir: Path, bundle: dict) -> None:
-    with open(out_dir / "performance.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row", "model", "accuracy", "precision", "recall", "f1", "auc", "tp", "fp", "tn", "fn", "n"])
-        for r in bundle["performance"]["rows"]:
-            writer.writerow(
-                [r["row"], r["model"]]
-                + [repr(float(r[k])) for k in ("accuracy", "precision", "recall", "f1")]
-                + ["" if r["auc"] is None else repr(float(r["auc"]))]
-                + [r[k] for k in ("tp", "fp", "tn", "fn", "n")]
-            )
+def _tables(bundle: dict) -> dict:
+    """The bundle's five CSV tables: file name -> rows, header row first."""
+    perf = [["row", "model", "accuracy", "precision", "recall", "f1", "auc", "tp", "fp", "tn", "fn", "n"]]
+    perf += [
+        [r["row"], r["model"]]
+        + [repr(float(r[k])) for k in ("accuracy", "precision", "recall", "f1")]
+        + ["" if r["auc"] is None else repr(float(r["auc"]))]
+        + [r[k] for k in ("tp", "fp", "tn", "fn", "n")]
+        for r in bundle["performance"]["rows"]
+    ]
+    rates = [["year", "count", "defaults", "rate"]]
+    rates += [[r["year"], r["count"], r["defaults"], repr(float(r["rate"]))] for r in bundle["default_rates"]]
+    conf = bundle["grading"]["confusion"]
+    confusion = [["reference\\mapped", *conf["grades"]]]
+    confusion += [[g, *row] for g, row in zip(conf["grades"], conf["matrix"])]
+    att = bundle["attribution"]
+    importance = dict(zip(att["players"], att["global_importance"]))
+    ranks = [["rank", "player", "mean_abs_shap"]]
+    ranks += [[rank, p, repr(float(importance[p]))] for rank, p in enumerate(att["ranking"], start=1)]
+    al = bundle["alignment"]
+    e_rank = {f: i + 1 for i, f in enumerate(al["expert_ranking"])}
+    m_rank = {f: i + 1 for i, f in enumerate(al["model_ranking"])}
+    agreement = [["feature", "expert_total", "expert_rank", "model_rank", "delta"]]
+    agreement += [
+        [f, repr(float(al["expert_totals"][f])), e_rank[f], m_rank[f], repr(float(al["delta"][f]))]
+        for f in al["features"]
+    ]
+    return {
+        "performance.csv": perf,
+        "default_rates.csv": rates,
+        "grade_confusion.csv": confusion,
+        "importance.csv": ranks,
+        "alignment.csv": agreement,
+    }
 
-    with open(out_dir / "default_rates.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["year", "count", "defaults", "rate"])
-        for row in bundle["default_rates"]:
-            writer.writerow([row["year"], row["count"], row["defaults"], repr(float(row["rate"]))])
 
-    with open(out_dir / "grade_confusion.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        grades = bundle["grading"]["confusion"]["grades"]
-        writer.writerow(["reference\\mapped", *grades])
-        for g, row in zip(grades, bundle["grading"]["confusion"]["matrix"]):
-            writer.writerow([g, *row])
-
-    with open(out_dir / "importance.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["rank", "player", "mean_abs_shap"])
-        att = bundle["attribution"]
-        importance = dict(zip(att["players"], att["global_importance"]))
-        for rank, player in enumerate(att["ranking"], start=1):
-            writer.writerow([rank, player, repr(float(importance[player]))])
-
-    with open(out_dir / "alignment.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["feature", "expert_total", "expert_rank", "model_rank", "delta"])
-        al = bundle["alignment"]
-        e_rank = {f: i + 1 for i, f in enumerate(al["expert_ranking"])}
-        m_rank = {f: i + 1 for i, f in enumerate(al["model_ranking"])}
-        for f in al["features"]:
-            writer.writerow(
-                [f, repr(float(al["expert_totals"][f])), e_rank[f], m_rank[f], repr(float(al["delta"][f]))]
-            )
+def _write_bundle(out_dir: Path, bundle: dict) -> None:
+    """Write report.json and the five CSV tables. Every file is rendered
+    and written to a temp file first, then renamed into place, so a failure
+    leaves the previous bundle's files whole."""
+    texts = {"report.json": json.dumps(bundle, sort_keys=True, indent=1)}
+    for name, rows in _tables(bundle).items():
+        buf = io.StringIO(newline="")
+        csv.writer(buf).writerows(rows)
+        texts[name] = buf.getvalue()
+    temps = {name: out_dir / f".{name}.tmp" for name in texts}
+    try:
+        for name, text in texts.items():
+            temps[name].write_text(text, newline="")
+        for name, tmp in temps.items():
+            os.replace(tmp, out_dir / name)
+    finally:
+        for tmp in temps.values():
+            tmp.unlink(missing_ok=True)
 
 
 def _fmt_pct(v) -> str:

@@ -82,6 +82,13 @@ class TestSurveyValidation:
         with pytest.raises(ValueError, match="'a1'.*99"):
             px.load_survey(path)
 
+    def test_decimal_points_summing_to_100_accepted(self, tmp_path):
+        rows = uniform_survey_rows(PLAYER_FEATURES[:9], value=10.1)
+        rows.append(("a1", PLAYER_FEATURES[9], 9.1))  # sums to 99.99999999999999 in binary
+        path = tmp_path / "s.csv"
+        write_survey(path, rows)
+        assert px.load_survey(path).totals()[PLAYER_FEATURES[9]] == 9.1
+
     def test_unknown_feature_rejected(self, tmp_path):
         path = tmp_path / "s.csv"
         write_survey(path, [("a1", "ebitda_margin", 100)])

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,14 +8,13 @@ import pytest
 import pdxplain as px
 from pdxplain.models import (
     MODEL_KINDS,
-    GradientBoostedTreesModel,
     LogisticRegressionModel,
-    RandomForestModel,
+    TreeEnsembleModel,
     logistic_loss,
     lr_gradient,
     sigmoid,
 )
-from pdxplain.trees import TreeNode
+from pdxplain.trees import TreeNode, predict_many
 
 from conftest import random_matrix
 
@@ -94,13 +95,15 @@ class TestAdaBoost:
 class TestRandomForest:
     def test_average_of_tree_outputs(self):
         trees = [TreeNode.leaf(0.2), TreeNode.leaf(0.4), TreeNode.leaf(0.6)]
-        model = RandomForestModel(trees, px.RFParams(n_estimators=3), ["a"])
+        model = TreeEnsembleModel("rf", trees, np.ones(3), 0.0, px.RFParams(n_estimators=3), ["a"])
         np.testing.assert_allclose(model.predict_proba_array(np.zeros((2, 1))), 0.4)
 
     def test_invariant_to_tree_order(self):
         fm = random_matrix(120, seed=5)
         model = px.fit("rf", fm, {"n_estimators": 12, "max_depth": 4}, seed=1)
-        shuffled = RandomForestModel(model.trees[::-1], model.params, model.feature_names)
+        shuffled = TreeEnsembleModel(
+            "rf", model.trees[::-1], model.weights, 0.0, model.params, model.feature_names
+        )
         np.testing.assert_allclose(
             model.predict_proba_array(fm.X), shuffled.predict_proba_array(fm.X)
         )
@@ -135,7 +138,7 @@ class TestGradientBoosting:
         np.testing.assert_array_equal(px.predict_proba(model, fm), 0.5)
 
     def test_sigmoid_value(self):
-        model = GradientBoostedTreesModel([], -1.0986, px.GBTParams(n_estimators=0), ["a"])
+        model = TreeEnsembleModel("gbt", [], [], -1.0986, px.GBTParams(n_estimators=0), ["a"])
         p = model.predict_proba_array(np.zeros((1, 1)))[0]
         assert abs(p - 0.25) < 1e-4
 
@@ -224,6 +227,65 @@ class TestPersistence:
         px.save_model(px.fit("gbt", fm, {"n_estimators": 6, "subsample": 0.8}, seed=9), p1)
         px.save_model(px.fit("gbt", fm, {"n_estimators": 6, "subsample": 0.8}, seed=9), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def leaf_values(node: TreeNode) -> list[float]:
+    return [node.value] if node.is_leaf else leaf_values(node.left) + leaf_values(node.right)
+
+
+class TestTreeEnsembleForm:
+    """Every ensemble predicts link(base + sum_t w_t * tree_t(x))."""
+
+    def test_forest_is_the_mean_of_its_trees(self):
+        fm = random_matrix(120, seed=30)
+        model = px.fit("rf", fm, {"n_estimators": 6, "max_depth": 4}, seed=2)
+        acc = np.zeros(fm.n)
+        for tree in model.trees:
+            acc += predict_many(tree, fm.X)
+        np.testing.assert_array_equal(model.predict_proba_array(fm.X), acc / len(model.trees))
+
+    def test_boosting_is_the_sigmoid_of_the_shrunk_sum(self):
+        fm = random_matrix(120, seed=31)
+        model = px.fit("gbt", fm, {"n_estimators": 8, "max_depth": 3})
+        F = np.full(fm.n, model.base)
+        for tree in model.trees:
+            F += model.params.learning_rate * predict_many(tree, fm.X)
+        np.testing.assert_array_equal(model.predict_proba_array(fm.X), sigmoid(F))
+
+    def test_adaboost_is_the_alpha_weighted_vote_share(self):
+        fm = random_matrix(150, seed=32, countries=0)
+        fm.X[:, 0] += 1.5 * (2 * fm.y - 1)
+        model = px.fit("adaboost", fm, {"n_estimators": 10})
+        assert model.trees
+        for stump in model.trees:
+            assert set(leaf_values(stump)) <= {-1.0, 1.0}
+        F = np.zeros(fm.n)
+        for stump, alpha in zip(model.trees, model.weights):
+            F += alpha * predict_many(stump, fm.X)
+        expect = 0.5 * (1.0 + F / model.weights.sum())
+        np.testing.assert_array_equal(model.predict_proba_array(fm.X), expect)
+
+    def test_adaboost_without_stumps_predicts_half(self):
+        model = TreeEnsembleModel("adaboost", [], [], 0.0, px.AdaBoostParams(), ["a"])
+        np.testing.assert_array_equal(model.predict_proba_array(np.zeros((3, 1))), 0.5)
+
+    @pytest.mark.parametrize("kind,old", [
+        ("adaboost", lambda p: {"alphas": p["weights"], "trees": p["trees"]}),
+        ("rf", lambda p: {"trees": p["trees"]}),
+        ("gbt", lambda p: {"base_score": p["base"], "trees": p["trees"], "training_loss": p["training_loss"]}),
+    ])
+    def test_old_model_file_rejected(self, tmp_path, kind, old):
+        path = tmp_path / "model.json"
+        px.save_model(px.fit(kind, random_matrix(60, seed=33), {"n_estimators": 3}), path)
+        doc = json.loads(path.read_text())
+        doc["parameters"] = old(doc["parameters"])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="older"):
+            px.load_model(path)
+
+    def test_pyproject_version_is_the_package_version(self):
+        text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+        assert re.search(r'^version = "([^"]+)"', text, re.M).group(1) == px.__version__
 
 
 def test_sigmoid_extremes_are_finite():

@@ -104,6 +104,35 @@ class TestRunPipeline:
         with pytest.raises(StageError, match=r"'prepare'.*validation years 2019-2020 hold no rows"):
             run_pipeline(RunConfig.from_dict(doc), tmp_path / "empty_validation")
 
+    def test_bundle_write_failure_keeps_previous_files(self, small_run, tmp_path, monkeypatch):
+        out = tmp_path / "copy"
+        shutil.copytree(small_run["out"], out)
+        before = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
+        survey = tmp_path / "survey.csv"  # a changed survey changes the bundle; only align reruns
+        survey.write_text((DATA / "analyst_survey.csv").read_text().replace("r2_liquidity", "@")
+                          .replace("r3_profitability", "r2_liquidity").replace("@", "r3_profitability"))
+        doc = copy.deepcopy(SMALL_DOC)
+        doc["survey_path"] = str(survey)
+
+        def fail(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(px.pipeline.csv, "writer", fail)  # the CSV tables cannot be written
+        with pytest.raises(StageError, match="'report'"):
+            run_pipeline(RunConfig.from_dict(doc), out)
+        assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == before
+
+    def test_ungrouped_countries_rejected_before_any_stage(self, tmp_path):
+        doc = copy.deepcopy(SMALL_DOC)
+        doc["attribution"]["group_countries"] = False
+        with pytest.raises(ValueError, match="group_countries"):
+            run_pipeline(RunConfig.from_dict(doc), tmp_path / "ungrouped")
+        assert not (tmp_path / "ungrouped").exists()
+
+    def test_bundled_demo_config_digest_is_pinned(self):
+        doc = json.loads((DATA / "demo_config.json").read_text())
+        assert RunConfig.from_dict(doc).digest() == "23141dd01b2e"
+
     def test_seed_propagation_fills_stage_seeds(self):
         config = RunConfig.from_dict({"seed": 5, "generator": SMALL_DOC["generator"]})
         other = RunConfig.from_dict({"seed": 6, "generator": SMALL_DOC["generator"]})
