@@ -2,9 +2,12 @@
 
 The attribution game is interventional: a coalition's value is the mean
 model output over a background sample with the coalition's columns replaced
-by the explained instance. All 2^M coalitions are enumerated exactly, so the
-attributions satisfy the efficiency axiom to float precision. The six
-one-hot country columns are grouped into one "country_code" player.
+by the explained instance. All 2^M coalition values are computed exactly, so
+the attributions satisfy the efficiency axiom to float precision. The
+boosted trees explained here are read from their tree structure, not by
+evaluating 2^M x 100 hybrid rows per instance; the values are exact on the
+probability output. The six one-hot country columns are grouped into one
+"country_code" player.
 """
 
 import numpy as np

@@ -131,7 +131,7 @@ class LogisticRegressionModel:
 def _vote_share(F, weights):
     total = float(weights.sum())
     if total == 0.0:
-        return np.full(F.shape[0], 0.5)
+        return np.full(F.shape, 0.5)
     # Normalized vote margin in [-1, 1], mapped linearly onto [0, 1] so the
     # 0.5 threshold coincides with the majority vote.
     return 0.5 * (1.0 + F / total)

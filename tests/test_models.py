@@ -7,6 +7,7 @@ import pytest
 
 import pdxplain as px
 from pdxplain.models import (
+    LINKS,
     MODEL_KINDS,
     LogisticRegressionModel,
     TreeEnsembleModel,
@@ -268,6 +269,24 @@ class TestTreeEnsembleForm:
     def test_adaboost_without_stumps_predicts_half(self):
         model = TreeEnsembleModel("adaboost", [], [], 0.0, px.AdaBoostParams(), ["a"])
         np.testing.assert_array_equal(model.predict_proba_array(np.zeros((3, 1))), 0.5)
+
+    @pytest.mark.parametrize("kind,weights", [
+        ("adaboost", [0.7, 1.3, 0.4]),
+        ("adaboost", []),
+        ("rf", [1.0, 1.0, 1.0]),
+        ("gbt", [0.1, 0.1, 0.1]),
+    ])
+    def test_links_keep_the_shape_of_the_score(self, kind, weights):
+        """A table of scores, one row per background row, maps row by row to
+        the probabilities of the 1-d link."""
+        weights = np.asarray(weights, dtype=float)
+        F = np.random.default_rng(34).normal(size=(3, 8))
+        P = LINKS[kind](F, weights)
+        assert P.shape == F.shape
+        for row, probs in zip(F, P):
+            np.testing.assert_array_equal(probs, LINKS[kind](row, weights))
+        if not weights.size:
+            np.testing.assert_array_equal(P, 0.5)
 
     @pytest.mark.parametrize("kind,old", [
         ("adaboost", lambda p: {"alphas": p["weights"], "trees": p["trees"]}),

@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 
 import pdxplain as px
-from pdxplain.shapley import _coalition_values, build_players
+from pdxplain import shapley
+from pdxplain.models import TreeEnsembleModel
+from pdxplain.shapley import _coalition_values, _shapley_from_values, _TreeGame, build_players
+from pdxplain.trees import TreeNode
 
 from conftest import random_matrix
 
@@ -171,6 +174,180 @@ class TestCoalitionValues:
             for code in range(2 ** len(names))
         ]
         assert np.max(np.abs(v - want)) <= 1e-15
+
+
+split, leaf = TreeNode.split, TreeNode.leaf
+
+
+def assert_structure_matches_enumerator(model, cfg, instances, tol=1e-13):
+    """Coalition values read from the trees equal the enumerator's and the
+    value function's on every coalition, and the Shapley vector equals the
+    enumerator's values put through the Shapley formula."""
+    names, members = build_players(model.feature_names, cfg.group_map)
+    M = len(names)
+    game = _TreeGame(model, members, cfg.background)
+    for x in instances:
+        v = game(x)
+        enumerated = _coalition_values(model, x, members, cfg.background)
+        assert np.max(np.abs(v - enumerated)) <= tol
+        direct = [px.value_function(model, x, [i for i in range(M) if code >> i & 1], cfg) for code in range(2**M)]
+        assert np.max(np.abs(v - direct)) <= tol
+        phi = px.shapley_values(model, x, cfg)
+        assert np.max(np.abs(phi - _shapley_from_values(enumerated, M))) <= tol
+
+
+def country_matrix(seed):
+    fm = random_matrix(150, seed=seed, columns=["f0", "f1", "f2", "country_FR", "country_GB", "country_BE"])
+    fm.X[:, 1] += 1.5 * (2 * fm.y - 1)
+    return fm
+
+
+class TestTreeStructure:
+    """Tree ensembles are explained from their trees; the enumerator of
+    hybrid rows is the oracle."""
+
+    @pytest.mark.parametrize("kind, params", [
+        ("gbt", {"n_estimators": 12, "max_depth": 4}),
+        ("gbt", {"n_estimators": 12, "max_depth": 4, "subsample": 0.8, "colsample_bytree": 0.6}),
+        ("rf", {"n_estimators": 6, "max_depth": 5}),
+        ("adaboost", {"n_estimators": 15}),
+    ])
+    def test_fitted_ensembles_match_the_enumerator(self, kind, params):
+        fm = country_matrix(11)
+        model = px.fit(kind, fm, params, seed=2)
+        cfg = px.AttributionConfig(background=fm.X[:30], group_map=px.group_countries(fm.columns))
+        assert_structure_matches_enumerator(model, cfg, fm.X[[77, 100, 149]])
+
+    def test_country_player_split_on_two_columns_along_one_path(self):
+        names = ["f0", "country_FR", "country_GB", "country_BE"]
+        tree = split(1, 0.5,
+                     split(2, 0.5, leaf(0.3), leaf(-0.7)),
+                     split(0, 0.0, leaf(1.1), split(3, 0.5, leaf(-0.2), leaf(0.6))))
+        model = TreeEnsembleModel("gbt", [tree, split(0, 0.5, leaf(0.4), leaf(-0.1))], [0.5, 1.0], 0.1,
+                                  px.GBTParams(), names)
+        onehot = np.eye(3)[[0, 1, 2, 0, 1, 2]]
+        rows = np.column_stack([[-1.0, -1.0, 0.2, 0.7, 1.0, -0.3], onehot])
+        cfg = px.AttributionConfig(background=rows, group_map={"country_code": names[1:]})
+        assert_structure_matches_enumerator(model, cfg, rows)
+
+    def test_feature_split_twice_on_one_path(self):
+        """f0 is split at 0, and again at -0.5 on the left and at 1 on the
+        right; the grid puts x and z on either side of each split, in both
+        directions."""
+        tree = split(0, 0.0,
+                     split(0, -0.5, leaf(0.9), split(1, 0.0, leaf(-0.3), leaf(0.2))),
+                     split(0, 1.0, split(1, 0.5, leaf(0.5), leaf(-0.8)), leaf(1.3)))
+        model = TreeEnsembleModel("rf", [tree, split(1, 0.0, leaf(0.25), leaf(0.75))], [1.0, 1.0], 0.0,
+                                  px.RFParams(), ["f0", "f1", "f2"])
+        grid = np.array([[a, b, 0.0] for a in (-1.0, -0.25, 0.5, 2.0) for b in (-1.0, 1.0)])
+        cfg = px.AttributionConfig(background=grid)
+        assert_structure_matches_enumerator(model, cfg, grid)
+
+    def test_adaboost_without_stumps_has_zero_attributions(self):
+        model = TreeEnsembleModel("adaboost", [], [], 0.0, px.AdaBoostParams(), ["a", "b", "c"])
+        bg = np.random.default_rng(40).normal(size=(5, 3))
+        cfg = px.AttributionConfig(background=bg)
+        assert_structure_matches_enumerator(model, cfg, bg[:2] + 1.0)
+        np.testing.assert_array_equal(px.shapley_values(model, np.ones(3), cfg), 0.0)
+
+    def test_single_background_row(self):
+        fm = country_matrix(12)
+        model = px.fit("gbt", fm, {"n_estimators": 10, "max_depth": 4}, seed=3)
+        cfg = px.AttributionConfig(background=fm.X[5:6], group_map=px.group_countries(fm.columns))
+        assert_structure_matches_enumerator(model, cfg, fm.X[[5, 60, 61]])
+
+    def test_instance_equal_to_a_background_row(self):
+        fm = country_matrix(13)
+        model = px.fit("rf", fm, {"n_estimators": 5, "max_depth": 5}, seed=4)
+        cfg = px.AttributionConfig(background=fm.X[:12], group_map=px.group_countries(fm.columns))
+        assert_structure_matches_enumerator(model, cfg, fm.X[[3, 11]])
+
+    def test_global_importance_stacks_shapley_values(self):
+        fm = country_matrix(14)
+        model = px.fit("adaboost", fm, {"n_estimators": 12}, seed=5)
+        cfg = px.AttributionConfig(background=fm.X[:20], group_map=px.group_countries(fm.columns))
+        report = px.global_importance(model, fm.X[40:44], cfg)
+        np.testing.assert_array_equal(report.phi, np.stack([px.shapley_values(model, x, cfg) for x in fm.X[40:44]]))
+
+
+def wide_model(n_players, seed):
+    fm = random_matrix(200, seed=seed, columns=[f"f{i}" for i in range(n_players)], countries=0)
+    fm.X[:, :4] += 0.8 * (2 * fm.y[:, None] - 1)
+    return px.fit("gbt", fm, {"n_estimators": 8, "max_depth": 3}, seed=seed), fm
+
+
+def sampled_coalitions_match(model, cfg, x, count, seed):
+    M = len(model.feature_names)
+    v = _TreeGame(model, build_players(model.feature_names)[1], cfg.background)(x)
+    rng = np.random.default_rng(seed)
+    codes = [0, 2**M - 1] + list(rng.integers(0, 2**M, size=count))
+    for code in codes:
+        want = px.value_function(model, x, [i for i in range(M) if code >> i & 1], cfg)
+        assert abs(v[code] - want) <= 1e-13
+
+
+class TestScratchBound:
+    def test_sixteen_players_three_background_rows(self):
+        model, fm = wide_model(16, seed=41)
+        cfg = px.AttributionConfig(background=fm.X[:3])
+        sampled_coalitions_match(model, cfg, fm.X[50], 60, seed=1)
+
+    def test_twenty_players_chunk_the_background(self):
+        """At max_features 20 a background row's table has 2^20 entries, so
+        three rows make a chunk."""
+        model, fm = wide_model(20, seed=42)
+        cfg = px.AttributionConfig(background=fm.X[:4])
+        game = _TreeGame(model, build_players(model.feature_names)[1], cfg.background)
+        assert [z.shape[0] for z in game.z_left] == [3, 1]
+        sampled_coalitions_match(model, cfg, fm.X[60], 20, seed=2)
+
+    def test_chunks_stay_within_the_cap(self, monkeypatch):
+        """With the cap lowered to one background row's table, every row is
+        its own chunk, no chunk of expanded cells exceeds the cap, and the
+        values are unchanged."""
+        model, fm = wide_model(16, seed=43)
+        cfg = px.AttributionConfig(background=fm.X[:5])
+        members = build_players(model.feature_names)[1]
+        x = fm.X[70]
+        want = _TreeGame(model, members, cfg.background)(x)
+
+        cap = 2**16
+        monkeypatch.setattr(shapley, "SCRATCH_ELEMENTS", cap)
+        sizes = []
+        expand = shapley._expand
+
+        def recorded(key, B, val, M):
+            terms = 0
+            for k, v in expand(key, B, val, M):
+                sizes.append(k.size)
+                terms += k.size
+                yield k, v
+            assert terms == int(np.sum(2 ** sum((B >> i) & 1 for i in range(M))))
+
+        monkeypatch.setattr(shapley, "_expand", recorded)
+        game = _TreeGame(model, members, cfg.background)
+        assert len(game.z_left) == 5
+        got = game(x)
+        assert max(sizes) <= cap
+        assert np.max(np.abs(got - want)) <= 1e-13
+
+    def test_expansion_splits_between_whole_cells(self, monkeypatch):
+        monkeypatch.setattr(shapley, "SCRATCH_ELEMENTS", 8_192)
+        rng = np.random.default_rng(44)
+        B = rng.integers(0, 2**12, size=300)
+        key = rng.integers(0, 2**12, size=300) & ~B
+        val = rng.normal(size=300)
+        chunks = list(shapley._expand(key, B, val, 12))
+        assert len(chunks) > 1
+        assert max(k.size for k, _ in chunks) <= 8_192
+        got = sum(np.bincount(k, weights=v, minlength=2**12) for k, v in chunks)
+        want = np.zeros(2**12)
+        for k0, b0, v0 in zip(key, B, val):
+            on = [i for i in range(12) if b0 >> i & 1]
+            for r in range(len(on) + 1):
+                for C in itertools.combinations(on, r):
+                    want[k0 | sum(1 << i for i in C)] += (-1) ** r * v0
+        np.testing.assert_allclose(got, want, atol=1e-12)
 
 
 class TestGrouping:
