@@ -15,22 +15,12 @@ from importlib import resources
 
 import numpy as np
 
+from .dataprep import CONTINUOUS_COLUMNS
 from .metrics import average_ranks
 from .shapley import AttributionReport
 
 # The grouped player names analysts weight (one-hot countries collapsed).
-PLAYER_FEATURES = (
-    "r1_solvency",
-    "r2_solvency",
-    "r1_liquidity",
-    "r2_liquidity",
-    "r1_profitability",
-    "r2_profitability",
-    "r3_profitability",
-    "time_in_business",
-    "sales_evolution",
-    "country_code",
-)
+PLAYER_FEATURES = (*CONTINUOUS_COLUMNS, "country_code")
 
 POINTS_PER_ANALYST = 100.0
 POINTS_TOLERANCE = 1e-9  # decimal points need not sum to 100 exactly in binary
@@ -131,33 +121,13 @@ def kendall_tau(x, y) -> float:
     """Kendall tau-b (tie-adjusted)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    n = x.size
-    concordant = discordant = 0
-    ties_x = ties_y = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            dx = x[i] - x[j]
-            dy = y[i] - y[j]
-            if dx == 0 and dy == 0:
-                continue
-            if dx == 0:
-                ties_x += 1
-            elif dy == 0:
-                ties_y += 1
-            elif (dx > 0) == (dy > 0):
-                concordant += 1
-            else:
-                discordant += 1
-    n0 = n * (n - 1) / 2
-    pairs_xy = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if x[i] == x[j] and y[i] == y[j]:
-                pairs_xy += 1
-    denom = np.sqrt((n0 - (ties_x + pairs_xy)) * (n0 - (ties_y + pairs_xy)))
+    i, j = np.triu_indices(x.size, k=1)
+    sx, sy = np.sign(x[i] - x[j]), np.sign(y[i] - y[j])
+    # pairs untied in x times pairs untied in y, each counted as n0 - ties
+    denom = np.sqrt(np.count_nonzero(sx) * np.count_nonzero(sy))
     if denom == 0:
         return float("nan")
-    return float((concordant - discordant) / denom)
+    return float(int((sx * sy).sum()) / denom)
 
 
 def top_k_overlap(ranking_a, ranking_b, k: int) -> float:
@@ -219,6 +189,8 @@ def align(survey: ExpertSurvey, attribution: AttributionReport) -> AlignmentRepo
     expert_ranking = aggregate_and_rank(survey)
     model_ranking = [p for p in attribution.ranking]
 
+    if not m.sum() > 0:
+        raise ValueError("every player has zero mean |attribution|; the model shares are undefined")
     e_share = e / e.sum()
     m_share = m / m.sum()
     delta = {f: float(e_share[i] - m_share[i]) for i, f in enumerate(features)}

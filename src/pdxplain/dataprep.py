@@ -184,12 +184,17 @@ class FeatureMatrix:
     def from_csv(cls, path) -> "FeatureMatrix":
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader)
+            header = next(reader, None)
+            if header is None:
+                raise ValueError(f"feature CSV {path} is empty")
             if header[:2] != ["company_id", "statement_year"] or header[-1] != "label":
                 raise ValueError(f"unexpected feature CSV header in {path}")
             columns = header[2:-1]
             ids, years, rows, labels = [], [], [], []
             for row in reader:
+                if len(row) != len(header):
+                    raise ValueError(f"{path} line {reader.line_num}: {len(row)} cells, "
+                                     f"header has {len(header)}")
                 ids.append(row[0])
                 years.append(int(row[1]))
                 rows.append([float(v) for v in row[2:-1]])

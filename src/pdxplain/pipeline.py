@@ -10,14 +10,19 @@ stage reads, the keys of its upstream stages, the bytes of any external file
 it reads (the survey CSV and the interval table, or the bundled defaults
 when their paths are null) and the package version. So a change of model
 kind reuses generate, prepare and resample, and editing the survey in place
-reruns only align. Every stage reads its inputs back from the artifacts it
-(or an earlier run) wrote, which keeps cached and fresh runs on the same
-data path and makes report bundles byte-identical across reruns.
+reruns only align. A stage that runs reads its inputs back from the
+artifacts its upstream stages (in this run or an earlier one) wrote, which
+keeps cached and fresh runs on the same data path and makes report bundles
+byte-identical across reruns. Each artifact is parsed only inside the stages
+that consume it, so a cache hit reads nothing; the split matrix and the
+models, which several stages use, are parsed at most once per run. The
+bundle is built from the stages' JSON files alone.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -257,7 +262,8 @@ def generate_stage(config: GeneratorConfig, data_path, grades_path=None) -> dict
 
 def prepare_stage(records, spec: SplitSpec, countries, features_path, meta_path):
     """Label, derive ratios, split and scale; write the feature matrix and
-    its sidecar (scaler, split membership, rejection counts)."""
+    its sidecar (scaler, split membership, rejection counts, per-year
+    default rates)."""
     prep = prepare(records, spec, countries)
     prep.features.to_csv(features_path)
     write_json(meta_path, {
@@ -269,6 +275,7 @@ def prepare_stage(records, spec: SplitSpec, countries, features_path, meta_path)
             "validation": [int(i) for i in prep.split.validation_indices],
         },
         "rejections": prep.rejection_counts(),
+        "default_rates": default_rate_report(records),
     })
     return prep
 
@@ -389,74 +396,70 @@ def run_pipeline(config: RunConfig, out_dir) -> dict:
         d / "generation.json",
         generate_stage(config.generator, d / "data.csv", d / "reference_grades.csv"),
     ))
-    records = read_records(gen_dir / "data.csv")
-    ref_grades = read_reference_grades(gen_dir / "reference_grades.csv")
-    generation = read_json(gen_dir / "generation.json")
 
     def _prepare(d: Path):
-        prep = prepare_stage(records, config.split, config.countries,
+        prep = prepare_stage(read_records(gen_dir / "data.csv"), config.split, config.countries,
                              d / "features.csv", d / "features.meta.json")
         if not prep.split.validation.n:  # evaluate and map-grades score it
             low, high = config.split.validation_years
             raise ValueError(f"validation years {low}-{high} hold no rows")
     prep_dir = run_stage("prepare", {"split": doc["split"], "countries": doc["countries"]}, [gen_dir], _prepare)
-    splits = load_split(prep_dir / "features.csv", prep_dir / "features.meta.json")
+    splits = functools.cache(lambda: load_split(prep_dir / "features.csv", prep_dir / "features.meta.json"))
 
     rs_dir = run_stage("resample", doc["smote"], [prep_dir], lambda d: resample_stage(
-        splits["train"], config.smote, d / "train_resampled.csv", d / "smote_audit.json"
+        splits()["train"], config.smote, d / "train_resampled.csv", d / "smote_audit.json"
     ))
-    train_rs = FeatureMatrix.from_csv(rs_dir / "train_resampled.csv")
 
     def _train(d: Path):
-        for rows, name in ((splits["train"], "model_wrs.json"), (train_rs, "model_rs.json")):
+        train_rs = FeatureMatrix.from_csv(rs_dir / "train_resampled.csv")
+        for rows, name in ((splits()["train"], "model_wrs.json"), (train_rs, "model_rs.json")):
             train_stage(config.model_kind, rows, config.model_params, config.model_seed, d / name)
     train_dir = run_stage("train", doc["model"], [prep_dir, rs_dir], _train)
-    model_wrs = load_model(train_dir / "model_wrs.json")
-    model_rs = load_model(train_dir / "model_rs.json")
+    model = functools.cache(lambda name: load_model(train_dir / name))
 
     eval_dir = run_stage("evaluate", config.model_kind, [prep_dir, train_dir], lambda d: evaluate_stage(
         config.model_kind,
-        [("WRS", model_wrs, splits["test"]), ("RS", model_rs, splits["test"]),
-         ("RS+VS", model_rs, splits["validation"])],
+        [("WRS", model("model_wrs.json"), splits()["test"]),
+         ("RS", model("model_rs.json"), splits()["test"]),
+         ("RS+VS", model("model_rs.json"), splits()["validation"])],
         d / "performance.json",
     ))
-    performance = read_json(eval_dir / "performance.json")
 
     explain_dir = run_stage("explain", doc["attribution"], [prep_dir, train_dir], lambda d: explain_stage(
-        model_rs,
-        select_instances(splits, config.n_explain, config.attribution_seed),
-        sample_background(splits["train"], config.background_size, config.attribution_seed),
+        model("model_rs.json"),
+        select_instances(splits(), config.n_explain, config.attribution_seed),
+        sample_background(splits()["train"], config.background_size, config.attribution_seed),
         config.group_countries,
         d / "attributions.json",
     ))
-    attribution = AttributionReport.load(explain_dir / "attributions.json")
 
     grade_dir = run_stage(
         "map-grades", config.grading_mode, [gen_dir, prep_dir, train_dir],
-        lambda d: map_grades_stage(model_rs, ref_grades, splits, "validation", config.grading_mode,
-                                   config.fixed_intervals_path, d / "grading.json"),
+        lambda d: map_grades_stage(
+            model("model_rs.json"), read_reference_grades(gen_dir / "reference_grades.csv"), splits(),
+            "validation", config.grading_mode, config.fixed_intervals_path, d / "grading.json"),
         inputs=[(config.fixed_intervals_path, "scorecard_intervals.json")] if config.grading_mode == "fixed" else [],
     )
-    grading = read_json(grade_dir / "grading.json")
 
     align_dir = run_stage(
         "align", None, [explain_dir],
-        lambda d: align_stage(config.survey_path, attribution, d / "alignment.json"),
+        lambda d: align_stage(config.survey_path, AttributionReport.load(explain_dir / "attributions.json"),
+                              d / "alignment.json"),
         inputs=[(config.survey_path, "analyst_survey.csv")],
     )
-    align_doc = read_json(align_dir / "alignment.json")
 
     try:
+        meta = read_json(prep_dir / "features.meta.json")
         bundle = {
             "config": doc,
             "config_digest": config.digest(),
-            "generation": generation,
-            "rejections": splits["meta"]["rejections"],
-            "default_rates": default_rate_report(records),
-            "performance": performance,
-            "attribution": attribution.to_dict(),
-            "grading": grading,
-            "alignment": align_doc,
+            "generation": read_json(gen_dir / "generation.json"),
+            "rejections": meta["rejections"],
+            "default_rates": meta["default_rates"],
+            "performance": read_json(eval_dir / "performance.json"),
+            "attribution": read_json(explain_dir / "attributions.json"),
+            "grading": read_json(grade_dir / "grading.json"),
+            "alignment": read_json(align_dir / "alignment.json"),
         }
         _write_bundle(out_dir, bundle)
     except Exception as exc:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -260,6 +262,18 @@ class TestCsvRoundTrip:
         np.testing.assert_array_equal(back.X, fm.X)
         np.testing.assert_array_equal(back.y, fm.y)
         assert back.company_ids == fm.company_ids
+
+    def test_empty_feature_csv_rejected(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        with pytest.raises(ValueError, match=re.escape(f"{path} is empty")):
+            px.FeatureMatrix.from_csv(path)
+
+    def test_short_feature_row_rejected_with_line(self, tmp_path):
+        path = tmp_path / "short.csv"
+        path.write_text("company_id,statement_year,f0,f1,label\nA,2010,0.1,0.2,1\nB,2011,0.5,0\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path} line 3: 4 cells, header has 5")):
+            px.FeatureMatrix.from_csv(path)
 
     def test_missing_column_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

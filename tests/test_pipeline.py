@@ -39,6 +39,14 @@ def tree_digest(root) -> str:
     return h.hexdigest()
 
 
+def swapped_survey(tmp_path) -> Path:
+    """The bundled survey with two features' points swapped for every analyst."""
+    survey = tmp_path / "survey.csv"
+    survey.write_text((DATA / "analyst_survey.csv").read_text().replace("r2_liquidity", "@")
+                      .replace("r3_profitability", "r2_liquidity").replace("@", "r3_profitability"))
+    return survey
+
+
 @pytest.fixture(scope="module")
 def small_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("bundle")
@@ -108,9 +116,7 @@ class TestRunPipeline:
         out = tmp_path / "copy"
         shutil.copytree(small_run["out"], out)
         before = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
-        survey = tmp_path / "survey.csv"  # a changed survey changes the bundle; only align reruns
-        survey.write_text((DATA / "analyst_survey.csv").read_text().replace("r2_liquidity", "@")
-                          .replace("r3_profitability", "r2_liquidity").replace("@", "r3_profitability"))
+        survey = swapped_survey(tmp_path)  # a changed survey changes the bundle; only align reruns
         doc = copy.deepcopy(SMALL_DOC)
         doc["survey_path"] = str(survey)
 
@@ -205,6 +211,79 @@ class TestStageCache:
         assert rerun[section] != first[section]
         assert rerun == fresh
         assert {name.rsplit("_", 1)[0] for name in set(stage_markers(out)) - set(before)} == {stage}
+
+
+BUNDLE_FILES = ("report.json", "performance.csv", "default_rates.csv", "grade_confusion.csv",
+                "importance.csv", "alignment.csv")
+
+
+def bundle_bytes(out) -> dict:
+    return {name: (Path(out) / name).read_bytes() for name in BUNDLE_FILES}
+
+
+def copy_stages(small_run, dest) -> Path:
+    """A copy of the small run's stage directories, without its bundle."""
+    shutil.copytree(small_run["out"] / "stages", dest / "stages")
+    return dest
+
+
+def forbid_upstream_reads(monkeypatch, allowed=()):
+    """Make every upstream artifact parser raise, except ``allowed``."""
+    def fail(*args, **kwargs):
+        raise AssertionError("upstream artifact parsed")
+
+    for owner, name in ((px.pipeline, "read_records"), (px.pipeline, "read_reference_grades"),
+                        (px.pipeline, "load_model"), (px.FeatureMatrix, "from_csv")):
+        if name not in allowed:
+            monkeypatch.setattr(owner, name, fail)
+
+
+class TestArtifactReads:
+    def test_all_hit_rerun_parses_no_upstream_artifact(self, small_run, tmp_path, monkeypatch):
+        out = copy_stages(small_run, tmp_path / "rerun")
+        forbid_upstream_reads(monkeypatch)
+        run_pipeline(small_run["config"], out)
+        assert bundle_bytes(out) == bundle_bytes(small_run["out"])
+
+    def test_survey_edit_loads_only_the_attribution(self, small_run, tmp_path, monkeypatch):
+        doc = copy.deepcopy(SMALL_DOC)
+        doc["survey_path"] = str(swapped_survey(tmp_path))
+        config = RunConfig.from_dict(doc)
+        run_pipeline(config, tmp_path / "fresh")
+        out = copy_stages(small_run, tmp_path / "rerun")
+        forbid_upstream_reads(monkeypatch)
+        loaded, original = [], px.AttributionReport.load.__func__
+
+        def load(cls, path):
+            loaded.append(Path(path).name)
+            return original(cls, path)
+
+        monkeypatch.setattr(px.AttributionReport, "load", classmethod(load))
+        run_pipeline(config, out)
+        assert loaded == ["attributions.json"]
+        assert bundle_bytes(out) == bundle_bytes(tmp_path / "fresh")
+
+    def test_model_sweep_never_reads_raw_statements(self, small_run, tmp_path, monkeypatch):
+        doc = copy.deepcopy(SMALL_DOC)
+        doc["model"] = {"kind": "lr"}
+        config = RunConfig.from_dict(doc)
+        run_pipeline(config, tmp_path / "fresh")
+        out = copy_stages(small_run, tmp_path / "sweep")
+        forbid_upstream_reads(monkeypatch, allowed=("from_csv", "load_model", "read_reference_grades"))
+        run_pipeline(config, out)
+        assert bundle_bytes(out) == bundle_bytes(tmp_path / "fresh")
+
+    def test_missing_resampled_rows_fail_in_train(self, small_run, tmp_path):
+        out = tmp_path / "broken"
+        shutil.copytree(small_run["out"], out)
+        (rs,) = out.glob("stages/resample_*/train_resampled.csv")
+        rs.unlink()
+        doc = copy.deepcopy(SMALL_DOC)
+        doc["model"] = {"kind": "lr"}
+        with pytest.raises(StageError, match="'train'") as info:
+            run_pipeline(RunConfig.from_dict(doc), out)
+        assert info.value.stage == "train"
+        assert bundle_bytes(out) == bundle_bytes(small_run["out"])
 
 
 class TestFormatReport:
@@ -409,6 +488,25 @@ class TestCli:
         assert main(["report", "--in", str(out)]) == 0
         text = capsys.readouterr().out
         assert "Performance" in text and "Expert alignment" in text
+
+    def test_train_on_empty_csv_names_the_file(self, tmp_path, capsys):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("")
+        rc = main(["train", "--model", "lr", "--in", str(empty), "--out", str(tmp_path / "m.json")])
+        assert rc == 1
+        assert f"error [train]: feature CSV {empty} is empty" in capsys.readouterr().err
+
+    def test_align_rejects_all_zero_attribution(self, tmp_path, capsys):
+        from pdxplain.alignment import PLAYER_FEATURES
+
+        attr = tmp_path / "attr.json"
+        px.AttributionReport(players=list(PLAYER_FEATURES), base_value=0.1,
+                             phi=np.zeros((3, len(PLAYER_FEATURES))), predictions=np.full(3, 0.1)).save(attr)
+        out = tmp_path / "alignment.json"
+        rc = main(["align", "--attribution", str(attr), "--out", str(out)])
+        assert rc == 1
+        assert "error [align]: every player has zero mean |attribution|" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_reference_grades_without_year_column(self, tmp_path):
         # company-wide grades (no statement_year column) apply to all years
