@@ -1,7 +1,7 @@
 """Company default prediction on synthetic financial panels, with exact
 Shapley attributions, rating-grade mapping, and expert alignment scoring."""
 
-__version__ = "0.2.1"  # set before the submodule imports: pipeline reads it at import
+__version__ = "0.2.2"  # set before the submodule imports: pipeline reads it at import
 
 from .alignment import AlignmentReport, ExpertSurvey, align, aggregate_and_rank, load_survey
 from .dataprep import (
@@ -10,14 +10,17 @@ from .dataprep import (
     FeatureVector,
     ScalerParams,
     SplitSpec,
+    Statements,
     apply_scaler,
     compute_ratios,
     fit_scaler,
     label_records,
     prepare,
     read_records,
+    read_statements,
     split,
     write_records,
+    write_statements,
 )
 from .grading import (
     GRADES,
@@ -58,6 +61,7 @@ from .synthgen import (
     SynthOracle,
     default_rate_report,
     generate,
+    generate_statements,
     generate_with_oracle,
     oracle_reference_grades,
 )

@@ -3,7 +3,9 @@
 Each analyst distributes 100 points (to within 1e-9) over the model's grouped
 features. Aggregation sums the points; the agreement score bundles Spearman
 rho, Kendall tau-b, top-k overlap, and a per-feature share disagreement
-delta = (expert weight share) - (model |attribution| share).
+delta = (expert weight share) - (model |attribution| share). A rank
+correlation with a constant side (an analyst who weights every feature
+alike, or tied model importances) is undefined and reported as None.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import csv
 import json
 from dataclasses import dataclass
 from importlib import resources
+from typing import Optional
 
 import numpy as np
 
@@ -106,19 +109,20 @@ def aggregate_and_rank(survey: ExpertSurvey) -> list[str]:
     return sorted(survey.features, key=lambda f: (-totals[f], max_single[f], file_pos[f]))
 
 
-def spearman_rho(x, y) -> float:
-    """Spearman rank correlation with average ranks for ties."""
+def spearman_rho(x, y) -> Optional[float]:
+    """Spearman rank correlation with average ranks for ties; None when
+    either side is constant."""
     rx = average_ranks(np.asarray(x, dtype=float))
     ry = average_ranks(np.asarray(y, dtype=float))
     sx, sy = rx - rx.mean(), ry - ry.mean()
     denom = np.sqrt((sx @ sx) * (sy @ sy))
     if denom == 0:
-        return float("nan")
+        return None
     return float((sx @ sy) / denom)
 
 
-def kendall_tau(x, y) -> float:
-    """Kendall tau-b (tie-adjusted)."""
+def kendall_tau(x, y) -> Optional[float]:
+    """Kendall tau-b (tie-adjusted); None when either side is constant."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     i, j = np.triu_indices(x.size, k=1)
@@ -126,7 +130,7 @@ def kendall_tau(x, y) -> float:
     # pairs untied in x times pairs untied in y, each counted as n0 - ties
     denom = np.sqrt(np.count_nonzero(sx) * np.count_nonzero(sy))
     if denom == 0:
-        return float("nan")
+        return None
     return float(int((sx * sy).sum()) / denom)
 
 
@@ -141,12 +145,12 @@ class AlignmentReport:
     expert_ranking: list[str]
     model_importance: dict[str, float]
     model_ranking: list[str]
-    spearman: float
-    kendall: float
+    spearman: Optional[float]  # None when undefined, as for every rank correlation here
+    kendall: Optional[float]
     top3_overlap: float
     top5_overlap: float
     delta: dict[str, float]  # expert share minus model share, per feature
-    per_analyst_spearman: dict[str, float]
+    per_analyst_spearman: dict[str, Optional[float]]
 
     def to_dict(self) -> dict:
         return {
@@ -155,17 +159,17 @@ class AlignmentReport:
             "expert_ranking": list(self.expert_ranking),
             "model_importance": {k: float(v) for k, v in self.model_importance.items()},
             "model_ranking": list(self.model_ranking),
-            "spearman": float(self.spearman),
-            "kendall": float(self.kendall),
+            "spearman": self.spearman,
+            "kendall": self.kendall,
             "top3_overlap": float(self.top3_overlap),
             "top5_overlap": float(self.top5_overlap),
             "delta": {k: float(v) for k, v in self.delta.items()},
-            "per_analyst_spearman": {k: float(v) for k, v in self.per_analyst_spearman.items()},
+            "per_analyst_spearman": dict(self.per_analyst_spearman),
         }
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, sort_keys=True)
+            json.dump(self.to_dict(), fh, sort_keys=True, allow_nan=False)
 
 
 def align(survey: ExpertSurvey, attribution: AttributionReport) -> AlignmentReport:

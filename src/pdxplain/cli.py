@@ -14,12 +14,13 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-from .dataprep import DEFAULT_COUNTRIES, FeatureMatrix, read_records
+from .dataprep import DEFAULT_COUNTRIES, FeatureMatrix, read_statements
 from .metrics import evaluate
 from .models import MODEL_KINDS, load_model, predict_proba
 from .pipeline import (
     RunConfig,
     StageError,
+    _fmt_frac,
     align_stage,
     explain_stage,
     format_report,
@@ -75,7 +76,7 @@ def _cmd_prepare(args) -> int:
     doc = _section(args.config, args.seed)
     meta_path = args.meta or str(Path(args.out).with_suffix(".meta.json"))
     prep = prepare_stage(
-        read_records(args.inp),
+        read_statements(args.inp),
         split_spec(doc, 0),
         tuple(doc.get("countries", DEFAULT_COUNTRIES)),
         args.out,
@@ -114,11 +115,10 @@ def _cmd_evaluate(args) -> int:
     rows = _rows(args, args.split)
     report = evaluate(rows.y, predict_proba(model, rows), threshold=args.threshold)
     report.save(args.report)
-    auc = "n/a" if report.auc is None else f"{report.auc:.4f}"
     print(
         f"n={report.n} accuracy={100 * report.accuracy:.2f} "
         f"precision={100 * report.precision:.2f} recall={100 * report.recall:.2f} "
-        f"f1={report.f1:.4f} auc={auc} -> {args.report}"
+        f"f1={report.f1:.4f} auc={_fmt_frac(report.auc)} -> {args.report}"
     )
     return 0
 
@@ -157,8 +157,8 @@ def _cmd_map_grades(args) -> int:
 def _cmd_align(args) -> int:
     report = align_stage(args.survey, AttributionReport.load(args.attribution), args.out)
     print(
-        f"alignment -> {args.out} (rho={report.spearman:.4f}, "
-        f"tau={report.kendall:.4f}, top-3 overlap={report.top3_overlap:.2f})"
+        f"alignment -> {args.out} (rho={_fmt_frac(report.spearman)}, "
+        f"tau={_fmt_frac(report.kendall)}, top-3 overlap={report.top3_overlap:.2f})"
     )
     return 0
 

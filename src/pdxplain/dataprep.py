@@ -1,14 +1,23 @@
 """Turn raw yearly company statements into labeled, scaled feature matrices.
 
-The flow is: label consecutive-year statements, derive the ratio features,
-one-hot encode the country, split by statement year, and standardize the
-continuous columns with train-only statistics.
+Raw statements travel as ``Statements``: one numpy column per
+``CompanyRecord`` field, each with a missing mask. Every rule runs once over
+whole columns: label consecutive-year statements, derive the ratio features
+and rejection reasons, one-hot encode the country, split by statement year,
+and standardize the continuous columns with train-only statistics.
+``read_statements`` and ``write_statements`` move the columns to and from
+CSV in blocks of rows. The record-level functions (``label_records``,
+``compute_ratios``, ``build_feature_matrix``, ``read_records``,
+``write_records``, and ``prepare`` given records) are thin adapters over the
+column code.
 """
 
 from __future__ import annotations
 
 import csv
+import operator
 from dataclasses import dataclass, field, fields as dc_fields
+from itertools import islice, repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -60,11 +69,63 @@ class CompanyRecord:
 
 RECORD_FIELDS = tuple(f.name for f in dc_fields(CompanyRecord))
 
-_INT_FIELDS = {"statement_year", "incorporation_year"}
-_BOOL_FIELDS = {"out_of_business"}
-_STR_FIELDS = {"company_id", "country_code"}
+# Cell kind of each record field; every field not named here is a float.
+_KINDS = {
+    **dict.fromkeys(RECORD_FIELDS, "float"),
+    "company_id": "str",
+    "country_code": "str",
+    "statement_year": "int",
+    "incorporation_year": "int",
+    "out_of_business": "bool",
+}
+_DTYPES = {"str": str, "int": np.int64, "bool": bool, "float": float}
+_FILLERS = {"str": "", "int": 0, "bool": False, "float": 0.0}
 _TRUE_TOKENS = {"1", "true", "yes", "y"}
 _FALSE_TOKENS = {"0", "false", "no", "n"}
+# Lowercased boolean cell -> 1 (true), 0 (false) or -1 (missing).
+_BOOL_CODES = {"": -1, **dict.fromkeys(_TRUE_TOKENS, 1), **dict.fromkeys(_FALSE_TOKENS, 0)}
+
+# Rows per block when statements are read from or written to CSV.
+BLOCK_ROWS = 1024
+
+
+@dataclass
+class Statements:
+    """Raw statements as columns: ``values[f]`` is one numpy array per
+    ``RECORD_FIELDS`` name and ``missing[f]`` its boolean missing mask.
+
+    A missing slot holds a filler ("", 0 or False) that no rule reads. NaN
+    never marks a missing cell: a ``nan`` cell is a present value, which
+    ``prepare`` rejects as ``nonfinite``, not ``missing``.
+    """
+
+    values: dict[str, np.ndarray]
+    missing: dict[str, np.ndarray]
+
+    @property
+    def n(self) -> int:
+        return len(self.values["statement_year"])
+
+    @classmethod
+    def from_records(cls, records: Sequence[CompanyRecord]) -> "Statements":
+        values, missing = {}, {}
+        for name in RECORD_FIELDS:
+            kind = _KINDS[name]
+            cells = [getattr(rec, name) for rec in records]
+            missing[name] = np.array([v is None for v in cells], dtype=bool)
+            values[name] = np.array(
+                [_FILLERS[kind] if v is None else v for v in cells], dtype=_DTYPES[kind]
+            )
+        return cls(values, missing)
+
+    def to_records(self) -> list[CompanyRecord]:
+        columns = []
+        for name in RECORD_FIELDS:
+            cells = self.values[name].tolist()
+            for i in np.flatnonzero(self.missing[name]).tolist():
+                cells[i] = None
+            columns.append(cells)
+        return list(map(CompanyRecord, *columns))
 
 
 @dataclass
@@ -171,14 +232,16 @@ class FeatureMatrix:
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["company_id", "statement_year", *self.columns, "label"])
-            for i in range(self.n):
-                writer.writerow(
-                    [self.company_ids[i], int(self.years[i])]
-                    + [repr(float(v)) for v in self.X[i]]
-                    + [int(self.y[i])]
-                )
+            csv.writer(fh).writerow(["company_id", "statement_year", *self.columns, "label"])
+            for low in range(0, self.n, BLOCK_ROWS):
+                block = slice(low, low + BLOCK_ROWS)
+                ids = list(map(str, self.company_ids[block]))
+                _write_rows(fh, [
+                    ids,
+                    list(map(str, self.years[block].tolist())),
+                    *(list(map(repr, col)) for col in self.X[block].T.tolist()),
+                    list(map(str, self.y[block].tolist())),
+                ], text=[ids])
 
     @classmethod
     def from_csv(cls, path) -> "FeatureMatrix":
@@ -219,53 +282,69 @@ class SplitResult:
     out_of_range: int = 0
 
 
-def label_records(records: Sequence[CompanyRecord]) -> list[tuple[CompanyRecord, int]]:
-    """Attach one-year-horizon default labels.
+def label_statements(st: Statements) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of ``st`` that carry a one-year-horizon default label, and the
+    labels.
 
-    For each company with statements in consecutive years t, t+1 where the
-    company is not out of business at t, emit (record at t, label) with
-    label 1 iff the t+1 statement flags it out of business. Records without
-    a t+1 statement, or already out of business at t, produce nothing.
+    The row of a company's year t is labeled when the company also files
+    for t+1, neither statement's out-of-business flag is missing, and the
+    company is not out of business at t; the label is 1 iff the t+1
+    statement flags it out of business. Rows come out by company in order
+    of first appearance, then by year: one stable sort over (company, year).
+
+    Raises ValueError at the first row, in input order, whose company_id is
+    empty or whose (company_id, statement_year) pair repeats an earlier row.
+    """
+    ids, years = st.values["company_id"], st.values["statement_year"]
+    _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    company = np.argsort(np.argsort(first))[inverse]  # rank of first appearance
+    order = np.lexsort((years, company))
+    company, sorted_years = company[order], years[order]
+    same = company[1:] == company[:-1]
+
+    repeated = order[1:][same & (sorted_years[1:] == sorted_years[:-1])]
+    bad = min(repeated.min(initial=st.n), np.flatnonzero(ids == "").min(initial=st.n))
+    if bad < st.n:
+        if ids[bad] == "":
+            raise ValueError("company_id must be non-empty")
+        raise ValueError(
+            f"duplicate statement for company {str(ids[bad])!r}, year {int(years[bad])}"
+        )
+
+    flag = st.values["out_of_business"][order]
+    known = ~st.missing["out_of_business"][order]
+    pair = same & (sorted_years[1:] == sorted_years[:-1] + 1) & known[1:] & known[:-1] & ~flag[:-1]
+    return order[:-1][pair], flag[1:][pair].astype(int)
+
+
+def label_records(records: Sequence[CompanyRecord]) -> list[tuple[CompanyRecord, int]]:
+    """Attach one-year-horizon default labels (see ``label_statements``).
+
+    Emits (record at t, label) for each labeled record, with label 1 iff the
+    t+1 statement flags the company out of business. Records without a t+1
+    statement, or already out of business at t, produce nothing.
 
     Raises ValueError on a duplicate (company_id, statement_year) pair.
     """
-    by_company: dict[str, dict[int, CompanyRecord]] = {}
-    order: list[str] = []
-    for rec in records:
-        if not rec.company_id:
-            raise ValueError("company_id must be non-empty")
-        years = by_company.setdefault(rec.company_id, {})
-        if not years:
-            order.append(rec.company_id)
-        if rec.statement_year in years:
-            raise ValueError(
-                f"duplicate statement for company {rec.company_id!r}, "
-                f"year {rec.statement_year}"
-            )
-        years[rec.statement_year] = rec
-
-    labeled: list[tuple[CompanyRecord, int]] = []
-    for cid in order:
-        years = by_company[cid]
-        for year in sorted(years):
-            rec = years[year]
-            nxt = years.get(year + 1)
-            if rec.out_of_business is None or rec.out_of_business:
-                continue
-            if nxt is None or nxt.out_of_business is None:
-                continue
-            labeled.append((rec, 1 if nxt.out_of_business else 0))
-    return labeled
+    rows, labels = label_statements(Statements.from_records(records))
+    return [(records[i], label) for i, label in zip(rows.tolist(), labels.tolist())]
 
 
-def _ratio(num, den, den_name: str):
-    if den == 0:
-        raise _ZeroDenominator(den_name)
-    return num / den
+def yearly_default_rates(years: np.ndarray, labels: np.ndarray) -> list[dict]:
+    """Per-year counts and default fractions of labeled rows.
 
-
-class _ZeroDenominator(Exception):
-    pass
+    Years inside the labeled span with no labeled row report zero count.
+    """
+    if not len(years):
+        return []
+    low = int(years.min())
+    offset = years - low
+    counts = np.bincount(offset).tolist()
+    defaults = np.bincount(offset[labels == 1], minlength=len(counts)).tolist()
+    return [
+        {"year": low + i, "count": n, "defaults": d, "rate": (d / n) if n else 0.0}
+        for i, (n, d) in enumerate(zip(counts, defaults))
+    ]
 
 
 # Fields compute_ratios needs, in the order missing-field reasons are reported.
@@ -285,6 +364,73 @@ REQUIRED_RATIO_FIELDS = (
     "country_code",
 )
 
+# Denominators in the order the ratios divide by them.
+_DENOMINATORS = ("total_assets", "gross_income", "total_current_liabilities", "sales")
+
+
+def statement_features(
+    st: Statements,
+    rows: np.ndarray,
+    labels,
+    countries: Sequence[str] = DEFAULT_COUNTRIES,
+) -> tuple[FeatureMatrix, list[Rejection]]:
+    """Ratio features, one-hot country and label of ``st``'s labeled
+    ``rows``, plus a Rejection for each row dropped.
+
+    A row is rejected for the first reason that applies, in this order: a
+    missing required field (in REQUIRED_RATIO_FIELDS order), an unknown
+    country, a statement year before incorporation, a zero denominator, and
+    a non-finite feature (in CONTINUOUS_COLUMNS order).
+    """
+    v = {name: st.values[name][rows] for name in ("company_id", "statement_year", *REQUIRED_RATIO_FIELDS)}
+    country = v["country_code"]
+    code = np.full(len(rows), -1)
+    for k in reversed(range(len(countries))):  # a repeated country keeps its first index
+        code[country == countries[k]] = k
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        features = {
+            "r1_solvency": v["net_worth"] / v["total_assets"],
+            "r2_solvency": v["financial_debt"] / v["gross_income"],
+            "r1_liquidity": v["total_current_assets"] / v["total_current_liabilities"],
+            "r2_liquidity": v["cash_liquid_assets"] / v["sales"],
+            "r1_profitability": v["working_capital"] / v["sales"],
+            "r2_profitability": v["net_income"],
+            "r3_profitability": v["gross_income"] / v["total_assets"],
+            "time_in_business": (v["statement_year"] - v["incorporation_year"]).astype(float),
+            "sales_evolution": v["sales"] - v["previous_sales"],
+        }
+    checks = [(st.missing[name][rows], f"missing:{name}") for name in REQUIRED_RATIO_FIELDS]
+    checks.append((code < 0, "unknown_country:{}"))
+    checks.append((v["statement_year"] < v["incorporation_year"], "invalid:time_in_business"))
+    checks += [(v[den] == 0, f"zero_denominator:{den}") for den in _DENOMINATORS]
+    checks += [(~np.isfinite(features[c]), f"nonfinite:{c}") for c in CONTINUOUS_COLUMNS]
+    # 1 + the index of the first failed check, 0 when the row is kept
+    reason = np.select([c for c, _ in checks], range(1, len(checks) + 1), default=0)
+
+    keep = reason == 0
+    n_cont = len(CONTINUOUS_COLUMNS)
+    X = np.zeros((int(keep.sum()), n_cont + len(countries)))
+    X[:, :n_cont] = np.column_stack([features[c][keep] for c in CONTINUOUS_COLUMNS])
+    X[np.arange(len(X)), n_cont + code[keep]] = 1.0
+    fm = FeatureMatrix(
+        columns=list(CONTINUOUS_COLUMNS) + [f"country_{c}" for c in countries],
+        X=X,
+        y=np.asarray(labels, dtype=int)[keep],
+        company_ids=v["company_id"][keep].tolist(),
+        years=v["statement_year"][keep],
+    )
+    dropped = ~keep
+    rejections = [
+        Rejection(cid, year, checks[k - 1][1].format(cc))
+        for cid, year, k, cc in zip(
+            v["company_id"][dropped].tolist(),
+            v["statement_year"][dropped].tolist(),
+            reason[dropped].tolist(),
+            country[dropped].tolist(),
+        )
+    ]
+    return fm, rejections
+
 
 def compute_ratios(
     record: CompanyRecord,
@@ -295,51 +441,18 @@ def compute_ratios(
 
     Returns a Rejection instead of a FeatureVector when a required input is
     missing, a denominator is zero, the country is unknown, or any computed
-    value is non-finite.
+    value is non-finite (see ``statement_features``).
     """
-
-    def reject(reason: str) -> Rejection:
-        return Rejection(record.company_id, record.statement_year, reason)
-
-    for name in REQUIRED_RATIO_FIELDS:
-        if getattr(record, name) is None:
-            return reject(f"missing:{name}")
-    if record.country_code not in countries:
-        return reject(f"unknown_country:{record.country_code}")
-    if record.statement_year < record.incorporation_year:
-        return reject("invalid:time_in_business")
-
-    try:
-        values = {
-            "r1_solvency": _ratio(record.net_worth, record.total_assets, "total_assets"),
-            "r2_solvency": _ratio(record.financial_debt, record.gross_income, "gross_income"),
-            "r1_liquidity": _ratio(
-                record.total_current_assets,
-                record.total_current_liabilities,
-                "total_current_liabilities",
-            ),
-            "r2_liquidity": _ratio(record.cash_liquid_assets, record.sales, "sales"),
-            "r1_profitability": _ratio(record.working_capital, record.sales, "sales"),
-            "r2_profitability": float(record.net_income),
-            "r3_profitability": _ratio(record.gross_income, record.total_assets, "total_assets"),
-            "time_in_business": float(record.statement_year - record.incorporation_year),
-            "sales_evolution": record.sales - record.previous_sales,
-        }
-    except _ZeroDenominator as exc:
-        return reject(f"zero_denominator:{exc.args[0]}")
-
-    for name, value in values.items():
-        if not np.isfinite(value):
-            return reject(f"nonfinite:{name}")
-
-    onehot = np.zeros(len(countries))
-    onehot[list(countries).index(record.country_code)] = 1.0
+    fm, rejections = build_feature_matrix([(record, label)], countries)
+    if rejections:
+        return rejections[0]
+    n_cont = len(CONTINUOUS_COLUMNS)
     return FeatureVector(
-        company_id=record.company_id,
-        statement_year=record.statement_year,
-        country_onehot=onehot,
+        record.company_id,
+        record.statement_year,
+        *fm.X[0, :n_cont].tolist(),
+        country_onehot=fm.X[0, n_cont:],
         label=label,
-        **values,
     )
 
 
@@ -348,28 +461,8 @@ def build_feature_matrix(
     countries: Sequence[str] = DEFAULT_COUNTRIES,
 ) -> tuple[FeatureMatrix, list[Rejection]]:
     """Run compute_ratios over labeled records and stack the survivors."""
-    columns = list(CONTINUOUS_COLUMNS) + [f"country_{c}" for c in countries]
-    vectors: list[FeatureVector] = []
-    rejections: list[Rejection] = []
-    for rec, label in labeled:
-        out = compute_ratios(rec, label, countries)
-        if isinstance(out, Rejection):
-            rejections.append(out)
-        else:
-            vectors.append(out)
-
-    n = len(vectors)
-    X = np.zeros((n, len(columns)))
-    y = np.zeros(n, dtype=int)
-    ids: list[str] = []
-    years = np.zeros(n, dtype=int)
-    for i, v in enumerate(vectors):
-        X[i, : len(CONTINUOUS_COLUMNS)] = [getattr(v, c) for c in CONTINUOUS_COLUMNS]
-        X[i, len(CONTINUOUS_COLUMNS) :] = v.country_onehot
-        y[i] = v.label
-        ids.append(v.company_id)
-        years[i] = v.statement_year
-    return FeatureMatrix(columns, X, y, ids, years), rejections
+    st = Statements.from_records([rec for rec, _ in labeled])
+    return statement_features(st, np.arange(st.n), [label for _, label in labeled], countries)
 
 
 def split(fm: FeatureMatrix, spec: SplitSpec) -> SplitResult:
@@ -443,6 +536,7 @@ class PrepareResult:
     scaler: ScalerParams
     countries: list[str]
     rejections: list[Rejection] = field(default_factory=list)
+    default_rates: list[dict] = field(default_factory=list)  # yearly_default_rates of the labels
 
     def rejection_counts(self) -> dict[str, int]:
         counts: dict[str, int] = {}
@@ -454,17 +548,19 @@ class PrepareResult:
 
 
 def prepare(
-    records: Sequence[CompanyRecord],
+    statements: Statements | Sequence[CompanyRecord],
     spec: SplitSpec,
     countries: Sequence[str] = DEFAULT_COUNTRIES,
 ) -> PrepareResult:
     """Full preparation pass: label, derive features, split, and scale.
 
-    The scaler is fitted on the training split only and then applied to all
-    rows, so test and validation never leak into the statistics.
+    ``statements`` are columns or a record list. The scaler is fitted on
+    the training split only and then applied to all rows, so test and
+    validation never leak into the statistics.
     """
-    labeled = label_records(records)
-    fm, rejections = build_feature_matrix(labeled, countries)
+    st = statements if isinstance(statements, Statements) else Statements.from_records(statements)
+    rows, labels = label_statements(st)
+    fm, rejections = statement_features(st, rows, labels, countries)
     sp = split(fm, spec)
     scaler = fit_scaler(sp.train)
     scaled = apply_scaler(scaler, fm)
@@ -483,69 +579,161 @@ def prepare(
         scaler=scaler,
         countries=list(countries),
         rejections=rejections,
+        default_rates=yearly_default_rates(st.values["statement_year"][rows], labels),
     )
 
 
-def _parse_cell(name: str, raw: str):
-    raw = raw.strip()
-    if raw == "":
-        return None
-    if name in _STR_FIELDS:
-        return raw
-    if name in _BOOL_FIELDS:
-        low = raw.lower()
-        if low in _TRUE_TOKENS:
-            return True
-        if low in _FALSE_TOKENS:
-            return False
-        raise ValueError(f"cannot parse boolean cell {raw!r} for {name}")
-    if name in _INT_FIELDS:
-        return int(float(raw))
-    return float(raw)
+def _write_rows(fh, columns: list[list[str]], text: list[list[str]]) -> None:
+    """Write the rows of ``columns`` exactly as ``csv.writer`` would.
+
+    Only the ``text`` columns may hold a character that csv.writer quotes
+    (comma, double quote, CR, LF); numbers never do. Without one, the rows
+    are joined directly.
+    """
+    joined = "".join("".join(col) for col in text)
+    if any(c in joined for c in ',"\r\n'):
+        csv.writer(fh).writerows(zip(*columns))
+    elif columns and columns[0]:
+        fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
+
+
+def _first_float_error(cells: list[str]) -> tuple[int, str]:
+    for i, cell in enumerate(cells):
+        try:
+            float(cell)
+        except ValueError as exc:
+            return i, str(exc)
+    raise AssertionError("no unparseable cell")
+
+
+def _parse_column(name: str, cells) -> tuple[np.ndarray, np.ndarray, Optional[tuple[int, str]]]:
+    """Values, missing mask and first bad cell (row, message) of one
+    column's raw cells. Cells are stripped; an empty cell is missing."""
+    cells = list(map(str.strip, cells))
+    n = len(cells)
+    kind = _KINDS[name]
+    if kind == "bool":
+        codes = np.fromiter(map(_BOOL_CODES.get, map(str.lower, cells), repeat(-2)), np.int8, n)
+        bad = np.flatnonzero(codes == -2)
+        error = (int(bad[0]), f"cannot parse boolean cell {cells[bad[0]]!r} for {name}") if bad.size else None
+        return codes == 1, codes == -1, error
+    missing = np.fromiter(map(operator.not_, cells), bool, n)
+    if kind == "str":
+        return np.array(cells, dtype=str), missing, None
+    filled = [cell or "0" for cell in cells] if missing.any() else cells
+    try:
+        values = np.fromiter(map(float, filled), float, n)
+    except ValueError:
+        row, message = _first_float_error(filled)
+        return np.zeros(n), missing, (row, f"{name}: {message}")
+    if kind == "float":
+        return values, missing, None
+    whole = np.isfinite(values) & (values == np.trunc(values)) & (values >= -2.0**63) & (values < 2.0**63)
+    bad = np.flatnonzero(~whole)
+    if bad.size:
+        return np.zeros(n, dtype=np.int64), missing, (
+            int(bad[0]), f"{name} cell {cells[bad[0]]!r} is not an integer in the int64 range")
+    return values.astype(np.int64), missing, None
+
+
+def _parse_block(
+    rows: list[list[str]], index: dict[str, int], width: int
+) -> tuple[Statements, Optional[tuple[int, int, str]]]:
+    """Columns of a block of CSV rows, and the (row, field position,
+    message) of the block's first bad row and its first bad field, or None
+    when every cell parses."""
+    if min(map(len, rows)) < width:  # a short row reads as missing cells
+        rows = [row + [""] * (width - len(row)) for row in rows]
+    columns = list(zip(*rows))
+    values, missing, errors = {}, {}, []
+    for pos, name in enumerate(RECORD_FIELDS):
+        values[name], missing[name], error = _parse_column(name, columns[index[name]])
+        if error is not None:
+            errors.append((error[0], pos, error[1]))
+    no_id = np.flatnonzero(missing["company_id"])
+    if no_id.size:
+        errors.append((int(no_id[0]), 0, "company_id must be non-empty"))
+    no_year = np.flatnonzero(missing["statement_year"])
+    if no_year.size:
+        cid = str(values["company_id"][no_year[0]])
+        errors.append((int(no_year[0]), 1, f"statement_year missing for company {cid!r}"))
+    return Statements(values, missing), min(errors, default=None)
+
+
+def _line_of(path, row: int) -> int:
+    """The file line on which data row ``row`` (0-based, blank lines
+    skipped) ends."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for _ in islice(filter(None, reader), row + 1):
+            pass
+        return reader.line_num
+
+
+def read_statements(path) -> Statements:
+    """Read raw statements from CSV into columns, BLOCK_ROWS rows at a time.
+
+    Column names are the CompanyRecord field names and other columns are
+    ignored. Cells are stripped, an empty cell means missing, a short row
+    reads as missing cells and extra cells are ignored. A bad cell raises
+    ValueError naming the file line; so does an empty company_id or
+    statement_year. Integer cells must be whole numbers within int64.
+    """
+    parts = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        absent = set(RECORD_FIELDS) - set(header)
+        if absent:
+            raise ValueError(f"raw CSV is missing columns: {sorted(absent)}")
+        index = {name: j for j, name in enumerate(header)}  # a repeated name: the last wins
+        rows = filter(None, reader)  # blank lines hold no statement
+        while block := list(islice(rows, BLOCK_ROWS)):
+            part, error = _parse_block(block, index, len(header))
+            if error is not None:
+                row, _, message = error
+                raise ValueError(f"{path} line {_line_of(path, BLOCK_ROWS * len(parts) + row)}: {message}")
+            parts.append(part)
+    if not parts:
+        return Statements.from_records([])
+    return Statements(
+        {name: np.concatenate([p.values[name] for p in parts]) for name in RECORD_FIELDS},
+        {name: np.concatenate([p.missing[name] for p in parts]) for name in RECORD_FIELDS},
+    )
 
 
 def read_records(path) -> list[CompanyRecord]:
-    """Read raw statements from CSV. Column names are the CompanyRecord
-    field names; an empty cell means missing."""
-    records = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = set(RECORD_FIELDS) - set(reader.fieldnames or [])
-        if missing:
-            raise ValueError(f"raw CSV is missing columns: {sorted(missing)}")
-        for row in reader:
-            cid = (row["company_id"] or "").strip()
-            if not cid:
-                raise ValueError("company_id must be non-empty")
-            if (row["statement_year"] or "").strip() == "":
-                raise ValueError(f"statement_year missing for company {cid!r}")
-            kwargs = {
-                name: _parse_cell(name, row[name] or "")
+    """Read raw statements from CSV as records (see ``read_statements``)."""
+    return read_statements(path).to_records()
+
+
+def _format_column(name: str, values: np.ndarray, missing: np.ndarray) -> list[str]:
+    kind = _KINDS[name]
+    if kind == "bool":
+        cells = np.where(values, "true", "false").tolist()
+    elif kind == "float":
+        cells = list(map(repr, values.tolist()))
+    else:
+        cells = list(map(str, values.tolist()))
+    for i in np.flatnonzero(missing).tolist():
+        cells[i] = ""
+    return cells
+
+
+def write_statements(path, st: Statements) -> None:
+    """Write ``st`` as raw-statement CSV, BLOCK_ROWS rows at a time."""
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerow(RECORD_FIELDS)
+        for low in range(0, st.n, BLOCK_ROWS):
+            block = slice(low, low + BLOCK_ROWS)
+            columns = [
+                _format_column(name, st.values[name][block], st.missing[name][block])
                 for name in RECORD_FIELDS
-                if name not in ("company_id",)
-            }
-            records.append(CompanyRecord(company_id=cid, **kwargs))
-    return records
-
-
-def _format_cell(name: str, value) -> str:
-    if value is None:
-        return ""
-    if name in _STR_FIELDS:
-        return str(value)
-    if name in _BOOL_FIELDS:
-        return "true" if value else "false"
-    if name in _INT_FIELDS:
-        return str(int(value))
-    return repr(float(value))
+            ]
+            text = [col for col, name in zip(columns, RECORD_FIELDS) if _KINDS[name] == "str"]
+            _write_rows(fh, columns, text)
 
 
 def write_records(path, records: Sequence[CompanyRecord]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RECORD_FIELDS)
-        for rec in records:
-            writer.writerow(
-                [rec.company_id]
-                + [_format_cell(n, getattr(rec, n)) for n in RECORD_FIELDS[1:]]
-            )
+    write_statements(path, Statements.from_records(records))

@@ -16,6 +16,9 @@ keeps cached and fresh runs on the same data path and makes report bundles
 byte-identical across reruns. Each artifact is parsed only inside the stages
 that consume it, so a cache hit reads nothing; the split matrix and the
 models, which several stages use, are parsed at most once per run. The
+raw statements pass from the generator through ``data.csv`` into prepare as
+numpy columns (``dataprep.Statements``), and prepare labels them once for
+both the feature matrix and the sidecar's per-year default rates. The
 bundle is built from the stages' JSON files alone.
 """
 
@@ -42,8 +45,9 @@ from .dataprep import (
     FeatureMatrix,
     SplitSpec,
     prepare,
-    read_records,
-    write_records,
+    read_records,  # noqa: F401  (re-exported: the record-level reader of data.csv)
+    read_statements,
+    write_statements,
 )
 from .metrics import evaluate
 from .models import fit, load_model, predict_proba, save_model
@@ -55,12 +59,7 @@ from .shapley import (
     sample_background,
 )
 from .smote import SmoteConfig, resample
-from .synthgen import (
-    GeneratorConfig,
-    default_rate_report,
-    generate_with_oracle,
-    oracle_reference_grades,
-)
+from .synthgen import GeneratorConfig, generate_statements, oracle_reference_grades
 
 class StageError(RuntimeError):
     def __init__(self, stage: str, cause: Exception):
@@ -222,7 +221,7 @@ def read_reference_grades(path) -> ReferenceGrades:
 
 def write_json(path, doc) -> None:
     with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
+        json.dump(doc, fh, sort_keys=True, indent=1, allow_nan=False)
 
 
 def read_json(path):
@@ -245,8 +244,8 @@ def load_split(features_path, meta_path=None) -> dict:
 def generate_stage(config: GeneratorConfig, data_path, grades_path=None) -> dict:
     """Write a synthetic panel to ``data_path`` and, given ``grades_path``,
     its oracle reference grades; return the generation summary."""
-    records, oracle = generate_with_oracle(config)
-    write_records(data_path, records)
+    statements, oracle = generate_statements(config)
+    write_statements(data_path, statements)
     if grades_path is not None:
         with open(grades_path, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -256,15 +255,15 @@ def generate_stage(config: GeneratorConfig, data_path, grades_path=None) -> dict
         "intercept": oracle.intercept,
         "realized_default_rate": oracle.realized_rate,
         "target_default_rate": oracle.target_rate,
-        "n_records": len(records),
+        "n_records": statements.n,
     }
 
 
-def prepare_stage(records, spec: SplitSpec, countries, features_path, meta_path):
-    """Label, derive ratios, split and scale; write the feature matrix and
-    its sidecar (scaler, split membership, rejection counts, per-year
-    default rates)."""
-    prep = prepare(records, spec, countries)
+def prepare_stage(statements, spec: SplitSpec, countries, features_path, meta_path):
+    """Label, derive ratios, split and scale ``statements`` (columns or
+    records); write the feature matrix and its sidecar (scaler, split
+    membership, rejection counts, per-year default rates of the labels)."""
+    prep = prepare(statements, spec, countries)
     prep.features.to_csv(features_path)
     write_json(meta_path, {
         "scaler": prep.scaler.to_dict(),
@@ -275,7 +274,7 @@ def prepare_stage(records, spec: SplitSpec, countries, features_path, meta_path)
             "validation": [int(i) for i in prep.split.validation_indices],
         },
         "rejections": prep.rejection_counts(),
-        "default_rates": default_rate_report(records),
+        "default_rates": prep.default_rates,
     })
     return prep
 
@@ -398,7 +397,7 @@ def run_pipeline(config: RunConfig, out_dir) -> dict:
     ))
 
     def _prepare(d: Path):
-        prep = prepare_stage(read_records(gen_dir / "data.csv"), config.split, config.countries,
+        prep = prepare_stage(read_statements(gen_dir / "data.csv"), config.split, config.countries,
                              d / "features.csv", d / "features.meta.json")
         if not prep.split.validation.n:  # evaluate and map-grades score it
             low, high = config.split.validation_years
@@ -507,7 +506,7 @@ def _write_bundle(out_dir: Path, bundle: dict) -> None:
     """Write report.json and the five CSV tables. Every file is rendered
     and written to a temp file first, then renamed into place, so a failure
     leaves the previous bundle's files whole."""
-    texts = {"report.json": json.dumps(bundle, sort_keys=True, indent=1)}
+    texts = {"report.json": json.dumps(bundle, sort_keys=True, indent=1, allow_nan=False)}
     for name, rows in _tables(bundle).items():
         buf = io.StringIO(newline="")
         csv.writer(buf).writerows(rows)
@@ -618,7 +617,7 @@ def format_report(bundle: dict) -> str:
     al = bundle.get("alignment")
     if al:
         content = [
-            f"Spearman rho: {al['spearman']:.4f}   Kendall tau-b: {al['kendall']:.4f}   "
+            f"Spearman rho: {_fmt_frac(al['spearman'])}   Kendall tau-b: {_fmt_frac(al['kendall'])}   "
             f"top-3 overlap: {al['top3_overlap']:.2f}   top-5 overlap: {al['top5_overlap']:.2f}",
             "",
         ]

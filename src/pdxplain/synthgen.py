@@ -20,7 +20,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataprep import DEFAULT_COUNTRIES, RECORD_FIELDS, CompanyRecord, label_records
+from .dataprep import (
+    DEFAULT_COUNTRIES,
+    RECORD_FIELDS,
+    CompanyRecord,
+    Statements,
+    label_statements,
+    yearly_default_rates,
+)
 
 MASKABLE_FIELDS = tuple(
     f for f in RECORD_FIELDS if f not in ("company_id", "statement_year", "out_of_business")
@@ -230,8 +237,13 @@ def _calibrate_intercept(panel: _Panel) -> float:
     return hi
 
 
-def generate_with_oracle(config: GeneratorConfig) -> tuple[list[CompanyRecord], SynthOracle]:
-    """Generate the panel plus the generator's own ground truth."""
+def generate_statements(config: GeneratorConfig) -> tuple[Statements, SynthOracle]:
+    """Generate the panel as columns plus the generator's own ground truth.
+
+    Company i files for grid years entry..end, where end is its default
+    year or its last filing year; rows run by company, then year. The
+    oracle rows are the same cells with t < end.
+    """
     panel = _Panel(config)
     intercept = _calibrate_intercept(panel)
     realized = panel.labeled_rate(intercept)
@@ -247,71 +259,55 @@ def generate_with_oracle(config: GeneratorConfig) -> tuple[list[CompanyRecord], 
     end = np.where(D >= 0, D, panel.last)
     p_next = _sigmoid(intercept + config.signal_strength * panel.score)
 
-    id_width = len(str(config.n_companies))
-    records: list[CompanyRecord] = []
-    oracle_ids: list[str] = []
-    oracle_years: list[int] = []
-    oracle_p: list[float] = []
+    # The kept (company, year) cells: company i repeated over entry..end.
+    spans = end - panel.entry + 1
+    company = np.repeat(np.arange(config.n_companies), spans)
+    t = np.arange(company.size) - np.repeat(np.cumsum(spans) - spans, spans) + panel.entry[company]
 
-    grid = {
-        "country_code": None,  # handled separately (string, not array)
-        "total_employees": panel.employees,
-        "net_worth": panel.net_worth,
-        "total_assets": panel.assets,
-        "gross_income": panel.gross_income,
-        "total_liabilities": panel.liabilities,
-        "current_ratio": panel.current_ratio,
-        "cash_liquid_assets": panel.cash,
-        "sales": panel.sales,
-        "working_capital": panel.working_capital,
-        "net_income": panel.net_income,
-        "previous_sales": panel.prev_sales,
-        "financial_debt": panel.financial_debt,
-        "total_current_assets": panel.tca,
-        "total_current_liabilities": panel.tcl,
+    id_width = len(str(config.n_companies))
+    ids = np.array([f"C{i:0{id_width}d}" for i in range(config.n_companies)])
+    values = {
+        "company_id": ids[company],
+        "statement_year": panel.years[t],
+        "out_of_business": t == D[company],
+        "country_code": np.array(DEFAULT_COUNTRIES)[panel.country_idx[company]],
+        "incorporation_year": panel.incorporation[company],
+        "total_employees": panel.employees[company, t],
+        "net_worth": panel.net_worth[company, t],
+        "total_assets": panel.assets[company, t],
+        "gross_income": panel.gross_income[company, t],
+        "total_liabilities": panel.liabilities[company, t],
+        "current_ratio": panel.current_ratio[company, t],
+        "cash_liquid_assets": panel.cash[company, t],
+        "sales": panel.sales[company, t],
+        "working_capital": panel.working_capital[company, t],
+        "net_income": panel.net_income[company, t],
+        "previous_sales": panel.prev_sales[company, t],
+        "financial_debt": panel.financial_debt[company, t],
+        "total_current_assets": panel.tca[company, t],
+        "total_current_liabilities": panel.tcl[company, t],
+    }
+    missing = {
+        name: panel.masks[name][company, t] if name in panel.masks else np.zeros(company.size, dtype=bool)
+        for name in RECORD_FIELDS
     }
 
-    for i in range(config.n_companies):
-        cid = f"C{i:0{id_width}d}"
-        country = DEFAULT_COUNTRIES[panel.country_idx[i]]
-        inc_year = int(panel.incorporation[i])
-        for t in range(int(panel.entry[i]), int(end[i]) + 1):
-            year = int(panel.years[t])
-
-            def cell(name, value):
-                mask = panel.masks.get(name)
-                if mask is not None and mask[i, t]:
-                    return None
-                return value
-
-            records.append(
-                CompanyRecord(
-                    company_id=cid,
-                    statement_year=year,
-                    out_of_business=bool(t == D[i]),
-                    country_code=cell("country_code", country),
-                    incorporation_year=cell("incorporation_year", inc_year),
-                    **{
-                        name: cell(name, float(arr[i, t]))
-                        for name, arr in grid.items()
-                        if name != "country_code"
-                    },
-                )
-            )
-            if t < end[i]:
-                oracle_ids.append(cid)
-                oracle_years.append(year)
-                oracle_p.append(float(p_next[i, t]))
-
+    live = t < end[company]
     oracle = SynthOracle(
-        company_ids=oracle_ids,
-        years=np.asarray(oracle_years, dtype=int),
-        propensity=np.asarray(oracle_p),
+        company_ids=ids[company[live]].tolist(),
+        years=panel.years[t[live]],
+        propensity=p_next[company[live], t[live]],
         intercept=float(intercept),
         realized_rate=realized,
         target_rate=target,
     )
-    return records, oracle
+    return Statements(values, missing), oracle
+
+
+def generate_with_oracle(config: GeneratorConfig) -> tuple[list[CompanyRecord], SynthOracle]:
+    """Generate the panel as records plus the generator's own ground truth."""
+    statements, oracle = generate_statements(config)
+    return statements.to_records(), oracle
 
 
 def generate(config: GeneratorConfig) -> list[CompanyRecord]:
@@ -340,10 +336,7 @@ def oracle_reference_grades(
         raise ValueError("fractions must cover the six grades and sum to 1")
     cuts = np.quantile(oracle.propensity, np.cumsum(fractions)[:-1])
     idx = np.searchsorted(cuts, oracle.propensity, side="right")
-    return [
-        (cid, int(year), GRADES[k])
-        for cid, year, k in zip(oracle.company_ids, oracle.years, idx)
-    ]
+    return list(zip(oracle.company_ids, oracle.years.tolist(), map(GRADES.__getitem__, idx.tolist())))
 
 
 def default_rate_report(records: Sequence[CompanyRecord]) -> list[dict]:
@@ -351,20 +344,6 @@ def default_rate_report(records: Sequence[CompanyRecord]) -> list[dict]:
 
     Years inside the labeled span with no rated companies report zero count.
     """
-    labeled = label_records(records)
-    if not labeled:
-        return []
-    counts: dict[int, int] = {}
-    defaults: dict[int, int] = {}
-    for rec, label in labeled:
-        counts[rec.statement_year] = counts.get(rec.statement_year, 0) + 1
-        defaults[rec.statement_year] = defaults.get(rec.statement_year, 0) + label
-    lo, hi = min(counts), max(counts)
-    report = []
-    for year in range(lo, hi + 1):
-        n = counts.get(year, 0)
-        d = defaults.get(year, 0)
-        report.append(
-            {"year": year, "count": n, "defaults": d, "rate": (d / n) if n else 0.0}
-        )
-    return report
+    statements = Statements.from_records(records)
+    rows, labels = label_statements(statements)
+    return yearly_default_rates(statements.values["statement_year"][rows], labels)

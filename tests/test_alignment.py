@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -236,3 +238,63 @@ class TestAlign:
         doc = json.loads(path.read_text())
         assert doc["expert_ranking"] == report.expert_ranking
         assert doc["top5_overlap"] == report.top5_overlap
+
+
+def strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-JSON constant {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+class TestUndefinedCorrelations:
+    """A constant side leaves a rank correlation undefined: it is None in
+    memory, null in JSON and n/a in the text report, never NaN."""
+
+    def _imp(self):
+        return {f: float(w) for f, w in zip(PLAYER_FEATURES, np.linspace(0.5, 0.01, len(PLAYER_FEATURES)))}
+
+    def test_constant_side_gives_none(self):
+        x = np.arange(5.0)
+        assert spearman_rho(x, np.ones(5)) is None and spearman_rho(np.ones(5), x) is None
+        assert kendall_tau(x, np.ones(5)) is None and kendall_tau(np.ones(5), x) is None
+
+    def test_uniform_analyst(self, tmp_path):
+        keen = zip(PLAYER_FEATURES, (30, 20, 15, 10, 8, 6, 5, 3, 2, 1))
+        path = tmp_path / "survey.csv"
+        write_survey(path, uniform_survey_rows(PLAYER_FEATURES, analysts=("even",))
+                     + [("keen", f, p) for f, p in keen])
+        report = px.align(px.load_survey(path), make_attribution(self._imp()))
+        assert report.per_analyst_spearman["even"] is None
+        assert report.per_analyst_spearman["keen"] == pytest.approx(1.0)
+        assert report.spearman is not None
+        report.save(tmp_path / "alignment.json")
+        doc = strict_json((tmp_path / "alignment.json").read_text())
+        assert doc["per_analyst_spearman"] == {"even": None, "keen": report.per_analyst_spearman["keen"]}
+
+    def test_only_uniform_analysts(self, tmp_path):
+        path = tmp_path / "survey.csv"
+        write_survey(path, uniform_survey_rows(PLAYER_FEATURES, analysts=("a1", "a2")))
+        report = px.align(px.load_survey(path), make_attribution(self._imp()))
+        assert report.spearman is None and report.kendall is None
+        assert set(report.per_analyst_spearman.values()) == {None}
+
+    def test_tied_importances(self, tmp_path):
+        report = px.align(px.load_survey(), make_attribution({f: 0.01 for f in PLAYER_FEATURES}))
+        assert report.spearman is None and report.kendall is None
+        assert set(report.per_analyst_spearman.values()) == {None}
+        report.save(tmp_path / "alignment.json")
+        doc = strict_json((tmp_path / "alignment.json").read_text())
+        assert doc["spearman"] is None and doc["kendall"] is None
+        text = px.format_report({"alignment": doc})
+        assert "Spearman rho: n/a   Kendall tau-b: n/a" in text
+
+    def test_nan_never_reaches_a_json_artifact(self, tmp_path):
+        from pdxplain.pipeline import write_json
+
+        with pytest.raises(ValueError, match="JSON compliant"):
+            write_json(tmp_path / "x.json", {"spearman": float("nan")})
+        report = px.align(px.load_survey(), make_attribution(self._imp()))
+        report.spearman = float("nan")
+        with pytest.raises(ValueError, match="JSON compliant"):
+            report.save(tmp_path / "alignment.json")

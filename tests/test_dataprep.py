@@ -6,6 +6,7 @@ import pytest
 import pdxplain as px
 from pdxplain.dataprep import (
     CONTINUOUS_COLUMNS,
+    RECORD_FIELDS,
     Rejection,
     build_feature_matrix,
     read_records,
@@ -301,3 +302,127 @@ class TestPrepare:
         fm = small_panel["prep"].features
         onehot = fm.X[:, [i for i, c in enumerate(fm.columns) if c.startswith("country_")]]
         np.testing.assert_array_equal(onehot.sum(axis=1), np.ones(fm.n))
+
+
+def raw_csv(tmp_path, *rows, header=",".join(RECORD_FIELDS)):
+    path = tmp_path / "raw.csv"
+    path.write_text("\n".join([header, *rows]) + "\n")
+    return path
+
+
+def full_row(**cells):
+    """A data.csv row of make_record's values, with ``cells`` replaced."""
+    values = {name: "" if v is None else str(v).lower() if isinstance(v, bool) else str(v)
+              for name, v in vars(make_record()).items()}
+    values.update(cells)
+    return ",".join(values[name] for name in RECORD_FIELDS)
+
+
+class TestReaderEdgeCases:
+    def test_short_row_reads_as_missing_cells(self, tmp_path):
+        (rec,) = read_records(raw_csv(tmp_path, "A,2010,false"))
+        assert (rec.company_id, rec.statement_year, rec.out_of_business) == ("A", 2010, False)
+        assert all(getattr(rec, name) is None for name in RECORD_FIELDS[3:])
+
+    def test_extra_cells_are_ignored(self, tmp_path):
+        (rec,) = read_records(raw_csv(tmp_path, full_row() + ",surplus,9.5"))
+        assert rec == make_record()
+
+    def test_extra_columns_are_ignored(self, tmp_path):
+        header = "note," + ",".join(RECORD_FIELDS)
+        (rec,) = read_records(raw_csv(tmp_path, "hello," + full_row(), header=header))
+        assert rec == make_record()
+
+    def test_whitespace_is_stripped(self, tmp_path):
+        row = full_row(company_id="  A ", statement_year=" 2011 ", out_of_business=" TRUE ",
+                       country_code=" NL ", sales=" 12.5 ", incorporation_year=" 1999")
+        (rec,) = read_records(raw_csv(tmp_path, row))
+        assert (rec.company_id, rec.statement_year, rec.out_of_business) == ("A", 2011, True)
+        assert (rec.country_code, rec.sales, rec.incorporation_year) == ("NL", 12.5, 1999)
+
+    @pytest.mark.parametrize("token,value", [
+        ("1", True), ("true", True), ("TRUE", True), ("yes", True), ("Yes", True), ("y", True), ("Y", True),
+        ("0", False), ("false", False), ("False", False), ("no", False), ("NO", False), ("n", False),
+        ("N", False), ("", None), ("  ", None),
+    ])
+    def test_boolean_tokens(self, tmp_path, token, value):
+        (rec,) = read_records(raw_csv(tmp_path, full_row(out_of_business=token)))
+        assert rec.out_of_business is value
+
+    @pytest.mark.parametrize("token", ["maybe", "2", "t", "1.0", "nan"])
+    def test_unknown_boolean_token_rejected(self, tmp_path, token):
+        with pytest.raises(ValueError, match=f"cannot parse boolean cell '{token}' for out_of_business"):
+            read_records(raw_csv(tmp_path, full_row(out_of_business=token)))
+
+    @pytest.mark.parametrize("field,reason", [
+        ("sales", "r2_liquidity"),
+        ("net_income", "r2_profitability"),
+        ("previous_sales", "sales_evolution"),
+    ])
+    def test_empty_cell_is_missing_but_nan_is_nonfinite(self, tmp_path, field, reason):
+        (empty,) = read_records(raw_csv(tmp_path, full_row(**{field: ""})))
+        (nan,) = read_records(raw_csv(tmp_path, full_row(**{field: "nan"})))
+        assert getattr(empty, field) is None and np.isnan(getattr(nan, field))
+        assert px.compute_ratios(empty, 0).reason == f"missing:{field}"
+        assert px.compute_ratios(nan, 0).reason == f"nonfinite:{reason}"
+
+    def test_quoted_company_id_with_comma_round_trips(self, tmp_path):
+        recs = [make_record('ACME, "Holdings" Ltd', 2010), make_record("Plain", 2011)]
+        path = tmp_path / "raw.csv"
+        write_records(path, recs)
+        assert '"ACME, ""Holdings"" Ltd"' in path.read_text()
+        assert read_records(path) == recs
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = raw_csv(tmp_path, "", full_row(), "", full_row(company_id="B"))
+        assert [r.company_id for r in read_records(path)] == ["C1", "B"]
+
+    def test_empty_company_id_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="company_id must be non-empty"):
+            read_records(raw_csv(tmp_path, full_row(), full_row(company_id=" ")))
+
+    def test_missing_statement_year_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="statement_year missing for company 'B'"):
+            read_records(raw_csv(tmp_path, full_row(), full_row(company_id="B", statement_year="")))
+
+    def test_header_only_reads_no_statements(self, tmp_path):
+        assert read_records(raw_csv(tmp_path)) == []
+
+
+class TestIntegerCells:
+    def test_integral_float_text_accepted(self, tmp_path):
+        (rec,) = read_records(raw_csv(tmp_path, full_row(statement_year="2010.0", incorporation_year="1.999e3")))
+        assert (rec.statement_year, rec.incorporation_year) == (2010, 1999)
+        assert type(rec.statement_year) is int and type(rec.incorporation_year) is int
+
+    @pytest.mark.parametrize("field,cell", [
+        ("statement_year", "2010.7"),
+        ("incorporation_year", "1999.5"),
+        ("incorporation_year", "inf"),
+        ("statement_year", "-inf"),
+        ("incorporation_year", "nan"),
+        ("incorporation_year", "1e19"),
+        ("statement_year", "-9.3e18"),
+    ])
+    def test_bad_integer_cell_names_column_and_line(self, tmp_path, field, cell):
+        path = raw_csv(tmp_path, full_row(), full_row(company_id="B"), full_row(company_id="C", **{field: cell}))
+        with pytest.raises(ValueError, match=re.escape(f"{path} line 4: {field} cell '{cell}'")):
+            read_records(path)
+
+    def test_line_counts_quoted_newlines_and_blank_lines(self, tmp_path):
+        path = raw_csv(tmp_path, "", full_row(company_id='"two\nlines"'), "",
+                       full_row(company_id="B", incorporation_year="12.5"))
+        with pytest.raises(ValueError, match=re.escape(f"{path} line 6: incorporation_year cell '12.5'")):
+            read_records(path)
+
+    def test_int64_bounds(self, tmp_path):
+        (rec,) = read_records(raw_csv(tmp_path, full_row(incorporation_year="-9223372036854775808")))
+        assert rec.incorporation_year == -2**63
+        with pytest.raises(ValueError, match="incorporation_year cell '9223372036854775808'"):
+            read_records(raw_csv(tmp_path, full_row(incorporation_year="9223372036854775808")))
+
+    def test_first_bad_row_wins_across_columns(self, tmp_path):
+        path = raw_csv(tmp_path, full_row(), full_row(company_id="B", sales="abc"),
+                       full_row(company_id="C", statement_year="2010.5", out_of_business="maybe"))
+        with pytest.raises(ValueError, match=re.escape(f"{path} line 3: sales: could not convert")):
+            read_records(path)

@@ -128,6 +128,24 @@ class TestRunPipeline:
             run_pipeline(RunConfig.from_dict(doc), out)
         assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == before
 
+    def test_uniform_survey_writes_null_correlations(self, small_run, tmp_path):
+        survey = tmp_path / "survey.csv"
+        players = small_run["bundle"]["attribution"]["players"]
+        survey.write_text("analyst_id,feature,points\n" + "".join(f"even,{p},10\n" for p in players))
+        out = tmp_path / "copy"
+        shutil.copytree(small_run["out"], out)
+        doc = copy.deepcopy(SMALL_DOC)
+        doc["survey_path"] = str(survey)
+        bundle = run_pipeline(RunConfig.from_dict(doc), out)
+
+        def reject(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        assert json.loads((out / "report.json").read_text(), parse_constant=reject) == bundle
+        assert bundle["alignment"]["spearman"] is None and bundle["alignment"]["kendall"] is None
+        assert bundle["alignment"]["per_analyst_spearman"] == {"even": None}
+        assert "Spearman rho: n/a   Kendall tau-b: n/a" in format_report(bundle)
+
     def test_ungrouped_countries_rejected_before_any_stage(self, tmp_path):
         doc = copy.deepcopy(SMALL_DOC)
         doc["attribution"]["group_countries"] = False
@@ -232,7 +250,8 @@ def forbid_upstream_reads(monkeypatch, allowed=()):
     def fail(*args, **kwargs):
         raise AssertionError("upstream artifact parsed")
 
-    for owner, name in ((px.pipeline, "read_records"), (px.pipeline, "read_reference_grades"),
+    for owner, name in ((px.pipeline, "read_records"), (px.pipeline, "read_statements"),
+                        (px.pipeline, "read_reference_grades"),
                         (px.pipeline, "load_model"), (px.FeatureMatrix, "from_csv")):
         if name not in allowed:
             monkeypatch.setattr(owner, name, fail)
