@@ -94,9 +94,11 @@ class Statements:
     """Raw statements as columns: ``values[f]`` is one numpy array per
     ``RECORD_FIELDS`` name and ``missing[f]`` its boolean missing mask.
 
-    A missing slot holds a filler ("", 0 or False) that no rule reads. NaN
-    never marks a missing cell: a ``nan`` cell is a present value, which
-    ``prepare`` rejects as ``nonfinite``, not ``missing``.
+    A missing slot holds an arbitrary value that no rule reads. NaN never
+    marks a missing cell: a ``nan`` cell is a present value, which
+    ``prepare`` rejects as ``nonfinite``, not ``missing``. Integer columns
+    are int64; ``from_records`` raises ValueError on a value that does not
+    fit its column's dtype.
     """
 
     values: dict[str, np.ndarray]
@@ -113,9 +115,13 @@ class Statements:
             kind = _KINDS[name]
             cells = [getattr(rec, name) for rec in records]
             missing[name] = np.array([v is None for v in cells], dtype=bool)
-            values[name] = np.array(
-                [_FILLERS[kind] if v is None else v for v in cells], dtype=_DTYPES[kind]
-            )
+            try:
+                values[name] = np.array(
+                    [_FILLERS[kind] if v is None else v for v in cells], dtype=_DTYPES[kind]
+                )
+            except OverflowError:
+                dtype = np.dtype(_DTYPES[kind]).name
+                raise ValueError(f"{name} holds a value outside the {dtype} range") from None
         return cls(values, missing)
 
     def to_records(self) -> list[CompanyRecord]:
@@ -235,13 +241,13 @@ class FeatureMatrix:
             csv.writer(fh).writerow(["company_id", "statement_year", *self.columns, "label"])
             for low in range(0, self.n, BLOCK_ROWS):
                 block = slice(low, low + BLOCK_ROWS)
-                ids = list(map(str, self.company_ids[block]))
-                _write_rows(fh, [
-                    ids,
-                    list(map(str, self.years[block].tolist())),
-                    *(list(map(repr, col)) for col in self.X[block].T.tolist()),
-                    list(map(str, self.y[block].tolist())),
-                ], text=[ids])
+                columns = [
+                    self.company_ids[block],
+                    self.years[block].tolist(),
+                    *self.X[block].T.tolist(),  # csv writes str(float), the shortest repr
+                    self.y[block].tolist(),
+                ]
+                csv.writer(fh).writerows(zip(*columns))
 
     @classmethod
     def from_csv(cls, path) -> "FeatureMatrix":
@@ -368,6 +374,19 @@ REQUIRED_RATIO_FIELDS = (
 _DENOMINATORS = ("total_assets", "gross_income", "total_current_liabilities", "sales")
 
 
+def _exact_difference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``float(a - b)`` of int64 columns, rounded from the exact difference.
+
+    The rows whose int64 difference wraps are redone with Python ints.
+    """
+    diff = a - b
+    wrapped = np.flatnonzero(((a ^ b) & (a ^ diff)) < 0).tolist()
+    diff = diff.astype(float)
+    for i in wrapped:
+        diff[i] = float(int(a[i]) - int(b[i]))
+    return diff
+
+
 def statement_features(
     st: Statements,
     rows: np.ndarray,
@@ -396,7 +415,7 @@ def statement_features(
             "r1_profitability": v["working_capital"] / v["sales"],
             "r2_profitability": v["net_income"],
             "r3_profitability": v["gross_income"] / v["total_assets"],
-            "time_in_business": (v["statement_year"] - v["incorporation_year"]).astype(float),
+            "time_in_business": _exact_difference(v["statement_year"], v["incorporation_year"]),
             "sales_evolution": v["sales"] - v["previous_sales"],
         }
     checks = [(st.missing[name][rows], f"missing:{name}") for name in REQUIRED_RATIO_FIELDS]
@@ -583,20 +602,6 @@ def prepare(
     )
 
 
-def _write_rows(fh, columns: list[list[str]], text: list[list[str]]) -> None:
-    """Write the rows of ``columns`` exactly as ``csv.writer`` would.
-
-    Only the ``text`` columns may hold a character that csv.writer quotes
-    (comma, double quote, CR, LF); numbers never do. Without one, the rows
-    are joined directly.
-    """
-    joined = "".join("".join(col) for col in text)
-    if any(c in joined for c in ',"\r\n'):
-        csv.writer(fh).writerows(zip(*columns))
-    elif columns and columns[0]:
-        fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
-
-
 def _first_float_error(cells: list[str]) -> tuple[int, str]:
     for i, cell in enumerate(cells):
         try:
@@ -731,8 +736,7 @@ def write_statements(path, st: Statements) -> None:
                 _format_column(name, st.values[name][block], st.missing[name][block])
                 for name in RECORD_FIELDS
             ]
-            text = [col for col, name in zip(columns, RECORD_FIELDS) if _KINDS[name] == "str"]
-            _write_rows(fh, columns, text)
+            csv.writer(fh).writerows(zip(*columns))
 
 
 def write_records(path, records: Sequence[CompanyRecord]) -> None:

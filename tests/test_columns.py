@@ -214,6 +214,25 @@ class TestRejectionReasons:
         assert rejections == [] and px.label_records([]) == []
 
 
+class TestExtremeYears:
+    YEARS = [(2010, -2**63), (2**63 - 1, -1), (2**63 - 1, -2**63), (-2**63, 1), (-2**63, 2**63 - 1),
+             (2**63 - 1, 2**63 - 1), (2**53 + 1, -1), (2010, 2**62)]
+
+    def test_int64_years_match_the_record_loop(self):
+        labeled = [(make_record(f"Y{i}", year, incorporation_year=inc), 0)
+                   for i, (year, inc) in enumerate(self.YEARS)]
+        fm, rejections = dataprep.build_feature_matrix(labeled)
+        want_fm, want_rejections = ref.build_feature_matrix(labeled)
+        assert_same_matrix(fm, want_fm)
+        assert rejections == want_rejections
+        assert fm.n == 5 and len(rejections) == 3
+
+    @pytest.mark.parametrize("field,value", [("incorporation_year", 10**30), ("statement_year", -2**63 - 1)])
+    def test_year_outside_int64_names_the_field(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} holds a value outside the int64 range"):
+            px.compute_ratios(make_record(**{field: value}), 0)
+
+
 def error_of(fn, records):
     with pytest.raises(ValueError) as info:
         fn(records)

@@ -421,6 +421,23 @@ class TestIntegerCells:
         with pytest.raises(ValueError, match="incorporation_year cell '9223372036854775808'"):
             read_records(raw_csv(tmp_path, full_row(incorporation_year="9223372036854775808")))
 
+    def test_extreme_years_give_the_exact_time_in_business(self, tmp_path):
+        path = raw_csv(
+            tmp_path,
+            full_row(incorporation_year="-9223372036854775808"),
+            full_row(statement_year="2011", incorporation_year="-9223372036854775808"),
+            full_row(company_id="B", statement_year="9.2e18", incorporation_year="-9.2e18"),
+            full_row(company_id="B", statement_year="9.2e18", incorporation_year="9.2e18"),
+        )
+        st = px.dataprep.read_statements(path)
+        st.values["statement_year"][3] += 1  # B files for t and t+1
+        rows, labels = px.dataprep.label_statements(st)
+        fm, rejections = px.dataprep.statement_features(st, rows, labels)
+        assert rejections == []
+        got = fm.X[:, fm.columns.index("time_in_business")].tolist()
+        assert got == [float(2010 + 2**63), float(int(9.2e18) + int(9.2e18))]
+        assert all(v > 9e18 for v in got)
+
     def test_first_bad_row_wins_across_columns(self, tmp_path):
         path = raw_csv(tmp_path, full_row(), full_row(company_id="B", sales="abc"),
                        full_row(company_id="C", statement_year="2010.5", out_of_business="maybe"))
