@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import operator
 from dataclasses import dataclass, field, fields as dc_fields
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -251,6 +251,9 @@ class FeatureMatrix:
 
     @classmethod
     def from_csv(cls, path) -> "FeatureMatrix":
+        """Read a feature CSV, BLOCK_ROWS rows at a time. Every row needs the
+        header's width; a bad row or cell raises ValueError naming its file
+        line."""
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
@@ -258,23 +261,53 @@ class FeatureMatrix:
                 raise ValueError(f"feature CSV {path} is empty")
             if header[:2] != ["company_id", "statement_year"] or header[-1] != "label":
                 raise ValueError(f"unexpected feature CSV header in {path}")
-            columns = header[2:-1]
-            ids, years, rows, labels = [], [], [], []
-            for row in reader:
-                if len(row) != len(header):
-                    raise ValueError(f"{path} line {reader.line_num}: {len(row)} cells, "
-                                     f"header has {len(header)}")
-                ids.append(row[0])
-                years.append(int(row[1]))
-                rows.append([float(v) for v in row[2:-1]])
-                labels.append(int(row[-1]))
+            width, parts = len(header), []
+            while block := list(islice(reader, BLOCK_ROWS)):
+                try:
+                    parts.append(_parse_feature_block(block, width))
+                except ValueError:
+                    row, message = next(
+                        (i, m) for i, r in enumerate(block) if (m := _feature_row_error(r, width)))
+                    line = _line_of(path, BLOCK_ROWS * len(parts) + row, skip_blank=False)
+                    raise ValueError(f"{path} line {line}: {message}") from None
+        if not parts:
+            parts = [((), np.empty(0, np.int64), np.empty((0, width - 3)), np.empty(0, np.int64))]
+        ids, years, X, y = zip(*parts)
         return cls(
-            columns=columns,
-            X=np.asarray(rows, dtype=float).reshape(len(rows), len(columns)),
-            y=np.asarray(labels, dtype=int),
-            company_ids=ids,
-            years=np.asarray(years, dtype=int),
+            columns=header[2:-1],
+            X=np.concatenate(X),
+            y=np.concatenate(y),
+            company_ids=[cid for part in ids for cid in part],
+            years=np.concatenate(years),
         )
+
+
+def _parse_feature_block(rows: list[list[str]], width: int):
+    """(ids, years, X, labels) of a block of feature CSV rows; ValueError on
+    a row of another width or a cell that does not parse."""
+    if set(map(len, rows)) != {width}:
+        raise ValueError("row width")
+    n, columns = len(rows), list(zip(*rows))
+    X = np.fromiter(map(float, chain.from_iterable(columns[2:-1])), float, n * (width - 3))
+    return (
+        columns[0],
+        np.fromiter(map(int, columns[1]), np.int64, n),
+        X.reshape(width - 3, n).T.copy(),  # row-major, as np.asarray(rows) gave
+        np.fromiter(map(int, columns[-1]), np.int64, n),
+    )
+
+
+def _feature_row_error(row: list[str], width: int) -> Optional[str]:
+    """Why one feature CSV row does not parse, or None."""
+    if len(row) != width:
+        return f"{len(row)} cells, header has {width}"
+    try:
+        int(row[1])
+        [float(v) for v in row[2:-1]]
+        int(row[-1])
+    except ValueError as exc:
+        return str(exc)
+    return None
 
 
 @dataclass
@@ -665,13 +698,13 @@ def _parse_block(
     return Statements(values, missing), min(errors, default=None)
 
 
-def _line_of(path, row: int) -> int:
+def _line_of(path, row: int, skip_blank: bool = True) -> int:
     """The file line on which data row ``row`` (0-based, blank lines
-    skipped) ends."""
+    skipped unless ``skip_blank`` is False) ends."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         next(reader)
-        for _ in islice(filter(None, reader), row + 1):
+        for _ in islice(filter(None, reader) if skip_blank else reader, row + 1):
             pass
         return reader.line_num
 

@@ -10,7 +10,10 @@ in their link:
   its weight is its alpha, and the link is the vote share
   ``0.5 * (1 + F / sum(w))``.
 - The random forest fits bootstrap trees whose leaves hold class shares;
-  weights are 1 and the link averages, ``F / T``.
+  weights are 1 and the link averages, ``F / T``. Each tree is fit on its
+  distinct bootstrap rows weighted by their bootstrap counts, with its column
+  order filtered from one sort of X per fit; integer count sums are exact,
+  so the trees are those of the rows repeated.
 - Boosting runs second-order rounds on the logistic loss with L2 leaf
   regularization and a minimum split gain; weights are the learning rate,
   ``base`` is the log-odds prior and the link is the sigmoid.
@@ -32,6 +35,7 @@ from .trees import (
     TreeNode,
     fit_tree,
     predict_many,
+    restrict_order,
     sort_columns,
     tree_from_dict,
     tree_to_dict,
@@ -270,10 +274,12 @@ def _fit_rf(X, y, params: RFParams, columns, seed):
     n, d = X.shape
     frac = np.sqrt(d) / d  # per-split subsampling of ~sqrt(M) features
     n_boot = max(1, int(round(params.bootstrap_fraction * n)))
+    order = sort_columns(X)
     trees = []
     for child in np.random.SeedSequence(seed).spawn(params.n_estimators):
         rng = np.random.default_rng(child)
-        boot = rng.integers(0, n, size=n_boot)
+        counts = np.bincount(rng.integers(0, n, size=n_boot), minlength=n)
+        rows = np.flatnonzero(counts)
         tree_seed = int(child.generate_state(1)[0])
         cfg = TreeConfig(
             max_depth=params.max_depth,
@@ -281,7 +287,7 @@ def _fit_rf(X, y, params: RFParams, columns, seed):
             feature_subsample_fraction=frac,
             seed=tree_seed,
         )
-        trees.append(fit_tree(X[boot], y[boot], cfg))
+        trees.append(fit_tree(X[rows], y[rows], cfg, order=restrict_order(order, rows), counts=counts[rows]))
     return TreeEnsembleModel("rf", trees, np.ones(len(trees)), 0.0, params, columns, seed)
 
 
@@ -292,7 +298,7 @@ def _fit_gbt(X, y, params: GBTParams, columns, seed):
     F = np.full(n, base)
     rng = np.random.default_rng(seed)
     trees, losses = [], []
-    order = sort_columns(X) if params.subsample == 1.0 else None  # X is the same every round
+    order = sort_columns(X)  # one sort per fit; a subsampled round filters it
     cfg = TreeConfig(
         max_depth=params.max_depth,
         min_samples_leaf=params.min_samples_leaf,
@@ -314,7 +320,8 @@ def _fit_gbt(X, y, params: GBTParams, columns, seed):
         if rows is None:
             tree = fit_tree(X, (g, h), cfg, allowed_features=feats, order=order)
         else:
-            tree = fit_tree(X[rows], (g[rows], h[rows]), cfg, allowed_features=feats)
+            tree = fit_tree(X[rows], (g[rows], h[rows]), cfg, allowed_features=feats,
+                            order=restrict_order(order, rows))
         F = F + params.learning_rate * predict_many(tree, X)
         loss = logistic_loss(F, y)
         if not np.isfinite(loss):

@@ -14,7 +14,19 @@ section 4.1). A node holds its rows' orders; a split keeps each child's share
 with a stable boolean filter, so every child order is still sorted by
 (value, row) and the trees equal those of a per-node sort. Ensembles whose
 rows do not change between trees (unsampled boosting, AdaBoost) build the
-block once per fit and pass it to every tree.
+block once per fit and pass it to every tree; ensembles that fit each tree on
+ascending distinct rows (a random forest's bootstrap, subsampled boosting)
+filter that one block with ``restrict_order``.
+
+A random forest tree is fit on its distinct bootstrap rows with their
+bootstrap counts (``fit_tree(..., counts=...)``), the sample-count bootstrap of
+scikit-learn's forests. Node sizes count copies, and every count sum is an
+integer below 2**53, so each prefix sum, gain, threshold and leaf value is
+exactly the one the repeated rows give and the tree is the same.
+
+A gini node whose labels are all equal has zero gain on every split; with
+integer weights (ones or counts) that test is exact, and such a node becomes
+a leaf right after its feature draw, with no split search.
 """
 
 from __future__ import annotations
@@ -81,6 +93,16 @@ def sort_columns(X: np.ndarray) -> np.ndarray:
     return np.argsort(XT, axis=1, kind="stable")
 
 
+def restrict_order(order: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``sort_columns(X[rows])`` from ``order = sort_columns(X)``, for
+    ascending distinct ``rows``: a stable filter keeps each column's (value,
+    row) order, and the kept rows are renumbered by their position in rows."""
+    position = np.full(order.shape[1], -1)
+    position[rows] = np.arange(rows.size)
+    kept = position.take(order)
+    return kept[kept >= 0].reshape(order.shape[0], rows.size)
+
+
 def fit_tree(
     X: np.ndarray,
     targets,
@@ -88,6 +110,7 @@ def fit_tree(
     sample_weight: Optional[np.ndarray] = None,
     allowed_features: Optional[Sequence[int]] = None,
     order: Optional[np.ndarray] = None,
+    counts: Optional[np.ndarray] = None,
 ) -> TreeNode:
     """Fit one tree by greedy exact best-split recursion.
 
@@ -96,6 +119,13 @@ def fit_tree(
     tree may split on (global indices); per-split feature subsampling then
     samples within that set. ``order`` is ``sort_columns(X)``, for callers
     that fit several trees on the same X; without it the tree sorts X itself.
+
+    ``counts`` fits the tree of the sample holding row i ``counts[i]`` times:
+    rows weigh their counts and node sizes count copies. Counts must be
+    positive integers summing below 2**53, in gini mode with no
+    ``sample_weight`` and ``min_samples_leaf`` 1 (split positions count
+    distinct rows); anything else raises ValueError rather than fit a tree
+    that the repeated rows would not give.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] < 1:
@@ -103,16 +133,29 @@ def fit_tree(
     if not np.isfinite(X).all():
         raise ValueError("non-finite feature value")
 
+    counted = config.criterion == GINI and sample_weight is None  # weights are ones or counts
     if config.criterion == GINI:
         y = np.asarray(targets, dtype=float)
         if not np.isfinite(y).all():
             raise ValueError("non-finite target value")
+        if not np.isin(y, (0.0, 1.0)).all():
+            raise ValueError("gini targets must be 0/1 labels")
+        if counts is not None:
+            if sample_weight is not None or config.min_samples_leaf > 1:
+                raise ValueError("counts take no sample_weight and need min_samples_leaf 1")
+            counts = np.asarray(counts, dtype=float)
+            if (counts.shape != y.shape or not (counts >= 1).all()
+                    or (counts != np.trunc(counts)).any() or not counts.sum() < 2.0**53):
+                raise ValueError("counts must be positive integers, one per row, summing below 2**53")
+            sample_weight = counts
         w = np.ones(X.shape[0]) if sample_weight is None else np.asarray(sample_weight, dtype=float)
         if w.shape != y.shape or (w <= 0).any():
             raise ValueError("sample_weight must be positive and match the targets")
         # s1 = weighted positive mass, s2 = total weight.
         s1, s2 = w * y, w
     else:
+        if counts is not None:
+            raise ValueError("counts need gini mode")
         g, h = targets
         g = np.asarray(g, dtype=float)
         h = np.asarray(h, dtype=float)
@@ -131,19 +174,27 @@ def fit_tree(
         order = order[allowed]
     XT = np.ascontiguousarray(X.T)
     rng = np.random.default_rng(config.seed)
-    builder = _Builder(XT, s1, s2, config, allowed, rng)
+    builder = _Builder(XT, s1, s2, config, allowed, rng, counted)
     return builder.build(np.arange(X.shape[0]), order, depth=0)
 
 
 class _Builder:
-    def __init__(self, XT, s1, s2, config: TreeConfig, allowed, rng):
+    def __init__(self, XT, s1, s2, config: TreeConfig, allowed, rng, counted):
         self.XT = XT  # (d, n): one contiguous row per feature
         self.s1 = s1
         self.s2 = s2
         self.cfg = config
         self.allowed = allowed
         self.rng = rng
+        # Gini weights of ones or counts: t2 is exactly the node's number of
+        # rows (copies), and t1 == 0 or t1 == t2 says exactly that its labels
+        # are all equal.
+        self.counted = counted
         self.side = np.empty(XT.shape[1], dtype=bool)  # scratch: row goes left
+        self.flat_x, self.n = XT.ravel(), XT.shape[1]
+        self.n_draw = 0  # features drawn per split; 0 searches every allowed one
+        if config.feature_subsample_fraction < 1.0:
+            self.n_draw = max(1, int(np.ceil(config.feature_subsample_fraction * allowed.size)))
 
     def leaf_value(self, t1: float, t2: float) -> float:
         if self.cfg.criterion == GINI:
@@ -157,16 +208,19 @@ class _Builder:
         t2 = float(self.s2[idx].sum())
         leaf = TreeNode.leaf(self.leaf_value(t1, t2))
         msl = self.cfg.min_samples_leaf
-        if depth >= self.cfg.max_depth or idx.size < 2 * msl or idx.size < 2:
+        size = t2 if self.counted else idx.size
+        if depth >= self.cfg.max_depth or size < 2 * msl or size < 2:
             return leaf
 
-        pick = slice(None)  # rows of ``order`` searched at this node
-        if self.cfg.feature_subsample_fraction < 1.0:
-            count = max(1, int(np.ceil(self.cfg.feature_subsample_fraction * self.allowed.size)))
-            feats = np.sort(self.rng.choice(self.allowed, size=count, replace=False))
-            pick = np.searchsorted(self.allowed, feats)
+        searched, feats = order, self.allowed
+        if self.n_draw:  # positions in allowed: the stream of drawing from allowed itself
+            pick = self.rng.choice(self.allowed.size, size=self.n_draw, replace=False)
+            pick.sort()
+            searched, feats = order[pick], self.allowed[pick]
+        if self.counted and (t1 == 0.0 or t1 == t2):
+            return leaf  # every gain is 0; the draw above keeps the rng stream
 
-        best = self._best_split(order[pick], self.allowed[pick], t1, t2)
+        best = self._best_split(searched, feats, t1, t2)
         if best is None:
             return leaf
         feature, threshold = best
@@ -176,8 +230,8 @@ class _Builder:
             return leaf
         # Stable filter: each child keeps its rows in the parent's order.
         self.side[idx] = mask
-        goes_left = self.side.take(order).ravel()
         flat = order.ravel()
+        goes_left = self.side.take(flat)
         left_order = flat.compress(goes_left).reshape(-1, n_left)
         right_order = flat.compress(~goes_left).reshape(-1, idx.size - n_left)
         left = self.build(idx[mask], left_order, depth + 1)
@@ -193,19 +247,20 @@ class _Builder:
         """
         cfg = self.cfg
         m = order.shape[1]
-        xs = self.XT.ravel().take(order + self.XT.shape[1] * feats[:, None])  # (f, m) sorted values
+        xs = self.flat_x.take(order + self.n * feats[:, None])  # (f, m) sorted values
         # Candidate i puts sorted positions 0..i left. Gains are scored only
         # where the sorted value changes; the flat order stays feature-major.
         valid = np.zeros(order.shape, dtype=bool)
         np.greater(xs[:, 1:], xs[:, :-1], out=valid[:, :-1])
         msl = cfg.min_samples_leaf
-        valid[:, : msl - 1] = False
-        valid[:, m - msl :] = False
+        if msl > 1:  # with 1 nothing goes: the last position is never a candidate
+            valid[:, : msl - 1] = False
+            valid[:, m - msl :] = False
         cand = np.flatnonzero(valid)
         if not cand.size:
             return None
-        al = np.cumsum(self.s1.take(order), axis=1).ravel().take(cand)
-        bl = np.cumsum(self.s2.take(order), axis=1).ravel().take(cand)
+        al = self.s1.take(order).cumsum(axis=1).take(cand)
+        bl = self.s2.take(order).cumsum(axis=1).take(cand)
         ar = t1 - al
         br = t2 - bl
 
@@ -223,7 +278,7 @@ class _Builder:
                 floor = 0.0
         gain = np.where(np.isfinite(gain), gain, -np.inf)
 
-        k = np.argmax(gain)  # first maximum: lowest feature, then lowest threshold
+        k = gain.argmax()  # first maximum: lowest feature, then lowest threshold
         if not np.isfinite(gain[k]) or gain[k] <= floor:
             return None
         f, i = divmod(int(cand[k]), m)
@@ -234,13 +289,6 @@ class _Builder:
 def _gini_term(s1, s2):
     # Weighted impurity mass: s2 * 2p(1-p) with p = s1/s2.
     return 2.0 * s1 * (s2 - s1) / s2
-
-
-def predict_tree(node: TreeNode, row: np.ndarray) -> float:
-    """Route a single row to its leaf value."""
-    while not node.is_leaf:
-        node = node.left if row[node.feature] < node.threshold else node.right
-    return node.value
 
 
 def predict_many(node: TreeNode, X: np.ndarray) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Record-at-a-time reference versions of the column code in ``dataprep`` and
 ``synthgen``: the loops the package used before its rules ran over whole
-columns. Tests compare the column code against them; nothing in ``src/``
-imports this module.
+columns. Also the random forest fit on bootstrap rows repeated, before it fit
+on bootstrap counts. Tests compare the package against them; nothing in
+``src/`` imports this module.
 """
 
 import csv
@@ -18,6 +19,7 @@ from pdxplain.dataprep import (
     FeatureVector,
     Rejection,
 )
+from pdxplain.models import RFParams, TreeEnsembleModel
 from pdxplain.synthgen import (
     GenerationError,
     SynthOracle,
@@ -25,6 +27,7 @@ from pdxplain.synthgen import (
     _Panel,
     _sigmoid,
 )
+from pdxplain.trees import GINI, TreeConfig, fit_tree
 
 
 def label_records(records):
@@ -261,3 +264,49 @@ def features_to_csv(fm, path):
                 + [repr(float(v)) for v in fm.X[i]]
                 + [int(fm.y[i])]
             )
+
+
+def features_from_csv(path):
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"feature CSV {path} is empty")
+        if header[:2] != ["company_id", "statement_year"] or header[-1] != "label":
+            raise ValueError(f"unexpected feature CSV header in {path}")
+        columns = header[2:-1]
+        ids, years, rows, labels = [], [], [], []
+        for row in reader:
+            if len(row) != len(header):
+                raise ValueError(f"{path} line {reader.line_num}: {len(row)} cells, "
+                                 f"header has {len(header)}")
+            ids.append(row[0])
+            years.append(int(row[1]))
+            rows.append([float(v) for v in row[2:-1]])
+            labels.append(int(row[-1]))
+    return FeatureMatrix(
+        columns=columns,
+        X=np.asarray(rows, dtype=float).reshape(len(rows), len(columns)),
+        y=np.asarray(labels, dtype=int),
+        company_ids=ids,
+        years=np.asarray(years, dtype=int),
+    )
+
+
+def fit_rf_repeated_rows(X, y, params: RFParams, columns, seed):
+    n, d = X.shape
+    frac = np.sqrt(d) / d
+    n_boot = max(1, int(round(params.bootstrap_fraction * n)))
+    trees = []
+    for child in np.random.SeedSequence(seed).spawn(params.n_estimators):
+        rng = np.random.default_rng(child)
+        boot = rng.integers(0, n, size=n_boot)
+        tree_seed = int(child.generate_state(1)[0])
+        cfg = TreeConfig(
+            max_depth=params.max_depth,
+            criterion=GINI,
+            feature_subsample_fraction=frac,
+            seed=tree_seed,
+        )
+        trees.append(fit_tree(X[boot], y[boot], cfg))
+    return TreeEnsembleModel("rf", trees, np.ones(len(trees)), 0.0, params, columns, seed)

@@ -122,6 +122,95 @@ class TestQuotedText:
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
+def read_features_both_ways(path):
+    """What the block reader and the row loop each make of a feature CSV:
+    a matrix, or the error's type and message."""
+    def run(read):
+        try:
+            return read(path)
+        except (ValueError, OverflowError) as exc:
+            return type(exc), str(exc)
+    return run(px.FeatureMatrix.from_csv), run(ref.features_from_csv)
+
+
+HEADER = "company_id,statement_year,f0,f1,label\n"
+GOOD = "A,2010,0.5,-1.25,1\n"
+
+
+class TestFeatureCsvReader:
+    def test_generated_features_match(self, panel, tmp_path):
+        prep = px.prepare(panel["records"], px.SplitSpec(seed=4))
+        resampled = px.resample(prep.split.train, px.SmoteConfig(seed=2)).data
+        for name, fm in (("features.csv", prep.features), ("train_resampled.csv", resampled)):
+            fm.to_csv(tmp_path / name)
+            got, want = read_features_both_ways(tmp_path / name)
+            assert fm.n > dataprep.BLOCK_ROWS
+            assert_same_matrix(got, want)
+            assert got.X.flags.c_contiguous
+
+    @pytest.mark.parametrize("rows", [0, 1, dataprep.BLOCK_ROWS, dataprep.BLOCK_ROWS + 1])
+    def test_block_edges(self, tmp_path, rows):
+        path = tmp_path / "f.csv"
+        lines = (f"C{i},{2000 + i % 7},{i / 3!r},{-i},{i % 2}\n" for i in range(rows))
+        path.write_text(HEADER + "".join(lines))
+        got, want = read_features_both_ways(path)
+        assert_same_matrix(got, want)
+        assert got.X.shape == (rows, 2)
+
+    @pytest.mark.parametrize("text", [
+        "company_id,statement_year,label\nA,2010,1\nB,2011,0\n",  # no feature columns
+        HEADER + " A ,+2010, 1.5 ,nan,-0\nB,2_011,inf,1_0,1\n",  # what int() and float() accept
+        HEADER + '"quoted, id","2010","1e-300","-1e300","0"\n',
+    ])
+    def test_cells_match(self, tmp_path, text):
+        path = tmp_path / "f.csv"
+        path.write_text(text)
+        got, want = read_features_both_ways(path)
+        assert_same_matrix(got, want)
+
+    @pytest.mark.parametrize("text", [
+        "",
+        "company_id,year,f0,label\n",
+        HEADER + GOOD + "\n" + GOOD,  # a blank line is a row of 0 cells
+        HEADER + GOOD + "B,2011,0.5,0\n",
+        HEADER + GOOD + "B,2011,0.5,0.1,0,9\n",
+        HEADER + '"two\nlines",2010,0.5,0.1,0\n' + "B,2011,0.5\n",
+        HEADER + GOOD * (dataprep.BLOCK_ROWS + 5) + "B,2011\n",
+    ])
+    def test_same_error_for_bad_shapes(self, tmp_path, text):
+        path = tmp_path / "f.csv"
+        path.write_text(text)
+        got, want = read_features_both_ways(path)
+        assert got == want and got[0] is ValueError
+
+    @pytest.mark.parametrize("bad_row, line", [
+        ("B,2010.0,0.5,0.1,0", 3),  # not an int() literal
+        ("B,2010,abc,0.1,0", 3),
+        ("B,2010,0.5,0.1,x", 3),
+        ("B,x,y,0.1,0", 3),  # the year is reported first, as the row loop did
+        ("B,2010,0.5,y,0\n" + "C,2011", 3),  # a bad cell before a short row
+        ('"two\nlines",2010,0.5,0.1,0\n' + "C,2010,zz,0.1,0", 5),
+    ])
+    def test_bad_cells_keep_the_loop_message_after_the_line(self, tmp_path, bad_row, line):
+        path = tmp_path / "f.csv"
+        path.write_text(HEADER + GOOD + bad_row + "\n")
+        got, want = read_features_both_ways(path)
+        assert got == (ValueError, f"{path} line {line}: {want[1]}")
+        assert want[0] is ValueError and not want[1].startswith(str(path))
+
+    def test_bad_cell_in_a_later_block(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text(HEADER + GOOD * (2 * dataprep.BLOCK_ROWS + 3) + "B,2010,0.5,?,0\n" + GOOD)
+        got, want = read_features_both_ways(path)
+        assert got == (ValueError, f"{path} line {2 * dataprep.BLOCK_ROWS + 5}: {want[1]}")
+
+    def test_year_outside_int64(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text(HEADER + f"A,{2**70},0.5,0.1,0\n")
+        got, want = read_features_both_ways(path)
+        assert got[0] is want[0] is OverflowError
+
+
 def hand_made_rows():
     """Rows that fail every check alone, and several checks at once."""
     rows = [make_record()]

@@ -10,7 +10,7 @@ from pdxplain.trees import (
     TreeNode,
     fit_tree,
     predict_many,
-    predict_tree,
+    restrict_order,
     sort_columns,
     tree_from_dict,
     tree_to_dict,
@@ -151,12 +151,12 @@ class TestSecondOrderFit:
 
 class TestPredict:
     def test_leaf_constant(self):
-        assert predict_tree(TreeNode.leaf(0.7), np.array([123.0])) == 0.7
+        assert predict_many(TreeNode.leaf(0.7), np.array([[123.0]])).tolist() == [0.7]
 
     def test_strict_inequality_routing(self):
         tree = TreeNode.split(0, 0.0, TreeNode.leaf(-1.0), TreeNode.leaf(1.0))
-        assert predict_tree(tree, np.array([-0.5])) == -1.0
-        assert predict_tree(tree, np.array([0.0])) == 1.0  # boundary goes right
+        assert predict_many(tree, np.array([[-0.5]])).tolist() == [-1.0]
+        assert predict_many(tree, np.array([[0.0]])).tolist() == [1.0]  # boundary goes right
 
     def test_matches_serialized_path_oracle(self):
         rng = np.random.default_rng(5)
@@ -169,14 +169,14 @@ class TestPredict:
         want = np.array([walk_serialized(doc, row) for row in probe])
         np.testing.assert_array_equal(got, want)
 
-    def test_predict_many_equals_predict_tree(self):
+    def test_predict_many_equals_one_row_matrices(self):
         rng = np.random.default_rng(6)
         X = rng.normal(size=(50, 3))
         y = (X[:, 0] > 0).astype(float)
         tree = fit_tree(X, y, TreeConfig(max_depth=4, criterion=GINI))
         probe = rng.normal(size=(40, 3))
         np.testing.assert_array_equal(
-            predict_many(tree, probe), [predict_tree(tree, r) for r in probe]
+            predict_many(tree, probe), [predict_many(tree, r[None, :])[0] for r in probe]
         )
 
 
@@ -352,6 +352,19 @@ class TestColumnBlock:
         for j in range(X.shape[1]):
             np.testing.assert_array_equal(order[j], np.lexsort((rows, X[:, j])))
 
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("fraction", [0.05, 0.5, 0.8, 1.0])
+    def test_restricted_order_is_the_order_of_the_rows(self, seed, fraction):
+        """A subsampled boosting round filters the fit's one sort instead of
+        sorting X[rows]: the same array for ascending distinct rows."""
+        X = tie_heavy_data(seed=seed)[0]
+        rng = np.random.default_rng(seed)
+        rows = np.sort(rng.choice(X.shape[0], size=max(1, int(fraction * X.shape[0])), replace=False))
+        got = restrict_order(sort_columns(X), rows)
+        want = sort_columns(X[rows])
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
     @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
     @pytest.mark.parametrize("shared", [False, True], ids=["own_sort", "shared_block"])
     def test_equals_per_node_sort(self, case, shared):
@@ -375,6 +388,7 @@ class TestColumnBlock:
         ("gbt", {"n_estimators": 8, "max_depth": 6}),
         ("gbt", {"n_estimators": 8, "max_depth": 6, "subsample": 0.8}),
         ("gbt", {"n_estimators": 8, "max_depth": 6, "colsample_bytree": 0.6}),
+        ("gbt", {"n_estimators": 8, "max_depth": 6, "subsample": 0.3, "colsample_bytree": 0.6}),
         ("adaboost", {"n_estimators": 25, "max_depth": 2}),
     ])
     @pytest.mark.parametrize("reference", [per_tree_sort_fit, per_node_sort_fit], ids=["per_tree", "per_node"])
