@@ -15,8 +15,8 @@ config = px.GeneratorConfig(
     signal_strength=1.0,
     seed=17,
 )
-records = px.generate(config)
-prep = px.prepare(records, px.SplitSpec(test_fraction=0.3, seed=1))
+statements, _ = px.generate_statements(config)
+prep = px.prepare(statements, px.SplitSpec(test_fraction=0.3, seed=1))
 train, validation = prep.split.train, prep.split.validation
 print(f"train {train.n} rows ({int(train.y.sum())} defaulted), validation {validation.n} rows")
 

@@ -18,7 +18,8 @@ config = px.GeneratorConfig(
     n_companies=4000, year_range=(2004, 2018), imbalance_ratio=25.0,
     signal_strength=1.0, seed=23,
 )
-prep = px.prepare(px.generate(config), px.SplitSpec(seed=3))
+statements, _ = px.generate_statements(config)
+prep = px.prepare(statements, px.SplitSpec(seed=3))
 train, validation = prep.split.train, prep.split.validation
 
 resampled = px.resample(train, px.SmoteConfig(k=10, target_ratio=0.5, seed=4)).data

@@ -15,8 +15,8 @@ config = px.GeneratorConfig(
     n_companies=5000, year_range=(2004, 2018), imbalance_ratio=25.0,
     signal_strength=1.0, seed=31,
 )
-records, oracle = px.generate_with_oracle(config)
-prep = px.prepare(records, px.SplitSpec(seed=2))
+statements, oracle = px.generate_statements(config)
+prep = px.prepare(statements, px.SplitSpec(seed=2))
 train, test, validation = prep.split.train, prep.split.test, prep.split.validation
 
 resampled = px.resample(train, px.SmoteConfig(k=10, target_ratio=0.5, seed=3)).data

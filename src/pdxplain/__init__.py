@@ -5,22 +5,19 @@ __version__ = "0.2.2"  # set before the submodule imports: pipeline reads it at 
 
 from .alignment import AlignmentReport, ExpertSurvey, align, aggregate_and_rank, load_survey
 from .dataprep import (
-    CompanyRecord,
     FeatureMatrix,
-    FeatureVector,
     ScalerParams,
     SplitSpec,
     Statements,
     apply_scaler,
-    compute_ratios,
     fit_scaler,
-    label_records,
+    label_statements,
     prepare,
-    read_records,
     read_statements,
     split,
-    write_records,
+    statement_features,
     write_statements,
+    yearly_default_rates,
 )
 from .grading import (
     GRADES,
@@ -59,9 +56,6 @@ from .synthgen import (
     GenerationError,
     GeneratorConfig,
     SynthOracle,
-    default_rate_report,
-    generate,
     generate_statements,
-    generate_with_oracle,
     oracle_reference_grades,
 )

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
@@ -69,6 +70,8 @@ def _parse_survey(reader) -> ExpertSurvey:
         value = float(row["points"])
         if feature not in PLAYER_FEATURES:
             raise ValueError(f"unknown feature name {feature!r} in survey")
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite points for analyst {analyst!r}, feature {feature!r}")
         if value < 0:
             raise ValueError(f"negative points for analyst {analyst!r}, feature {feature!r}")
         if analyst not in points:
@@ -169,7 +172,7 @@ class AlignmentReport:
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, sort_keys=True, allow_nan=False)
+            fh.write(json.dumps(self.to_dict(), sort_keys=True, allow_nan=False))
 
 
 def align(survey: ExpertSurvey, attribution: AttributionReport) -> AlignmentReport:

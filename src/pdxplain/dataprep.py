@@ -1,22 +1,20 @@
 """Turn raw yearly company statements into labeled, scaled feature matrices.
 
-Raw statements travel as ``Statements``: one numpy column per
-``CompanyRecord`` field, each with a missing mask. Every rule runs once over
-whole columns: label consecutive-year statements, derive the ratio features
-and rejection reasons, one-hot encode the country, split by statement year,
-and standardize the continuous columns with train-only statistics.
+Raw statements travel as ``Statements``: one numpy column per raw field
+(the ``_KINDS`` table), each with a missing mask. Every rule runs once over
+whole columns: label consecutive-year statements (``label_statements``),
+derive the ratio features and rejection reasons and one-hot encode the
+country (``statement_features``), split by statement year, and standardize
+the continuous columns with train-only statistics; ``prepare`` runs them all.
 ``read_statements`` and ``write_statements`` move the columns to and from
-CSV in blocks of rows. The record-level functions (``label_records``,
-``compute_ratios``, ``build_feature_matrix``, ``read_records``,
-``write_records``, and ``prepare`` given records) are thin adapters over the
-column code.
+CSV in blocks of rows. Statements have no per-row representation.
 """
 
 from __future__ import annotations
 
 import csv
 import operator
-from dataclasses import dataclass, field, fields as dc_fields
+from dataclasses import dataclass, field
 from itertools import chain, islice, repeat
 from typing import Optional, Sequence
 
@@ -40,46 +38,30 @@ CONTINUOUS_COLUMNS = (
     "sales_evolution",
 )
 
-
-@dataclass
-class CompanyRecord:
-    """One raw yearly financial statement. Any field besides the identifying
-    pair may be missing (None)."""
-
-    company_id: str
-    statement_year: int
-    out_of_business: Optional[bool] = None
-    country_code: Optional[str] = None
-    total_employees: Optional[float] = None
-    net_worth: Optional[float] = None
-    total_assets: Optional[float] = None
-    gross_income: Optional[float] = None
-    total_liabilities: Optional[float] = None
-    current_ratio: Optional[float] = None
-    cash_liquid_assets: Optional[float] = None
-    sales: Optional[float] = None
-    working_capital: Optional[float] = None
-    net_income: Optional[float] = None
-    incorporation_year: Optional[int] = None
-    previous_sales: Optional[float] = None
-    financial_debt: Optional[float] = None
-    total_current_assets: Optional[float] = None
-    total_current_liabilities: Optional[float] = None
-
-
-RECORD_FIELDS = tuple(f.name for f in dc_fields(CompanyRecord))
-
-# Cell kind of each record field; every field not named here is a float.
+# Raw statement fields in CSV column order, each with the numpy type of its
+# column. Any field besides the identifying pair may be missing.
 _KINDS = {
-    **dict.fromkeys(RECORD_FIELDS, "float"),
-    "company_id": "str",
-    "country_code": "str",
-    "statement_year": "int",
-    "incorporation_year": "int",
-    "out_of_business": "bool",
+    "company_id": str,
+    "statement_year": np.int64,
+    "out_of_business": bool,
+    "country_code": str,
+    "total_employees": float,
+    "net_worth": float,
+    "total_assets": float,
+    "gross_income": float,
+    "total_liabilities": float,
+    "current_ratio": float,
+    "cash_liquid_assets": float,
+    "sales": float,
+    "working_capital": float,
+    "net_income": float,
+    "incorporation_year": np.int64,
+    "previous_sales": float,
+    "financial_debt": float,
+    "total_current_assets": float,
+    "total_current_liabilities": float,
 }
-_DTYPES = {"str": str, "int": np.int64, "bool": bool, "float": float}
-_FILLERS = {"str": "", "int": 0, "bool": False, "float": 0.0}
+
 _TRUE_TOKENS = {"1", "true", "yes", "y"}
 _FALSE_TOKENS = {"0", "false", "no", "n"}
 # Lowercased boolean cell -> 1 (true), 0 (false) or -1 (missing).
@@ -91,14 +73,13 @@ BLOCK_ROWS = 1024
 
 @dataclass
 class Statements:
-    """Raw statements as columns: ``values[f]`` is one numpy array per
-    ``RECORD_FIELDS`` name and ``missing[f]`` its boolean missing mask.
+    """Raw statements as columns: ``values[f]`` is one numpy array of type
+    ``_KINDS[f]`` per raw field ``f`` and ``missing[f]`` its boolean missing
+    mask.
 
     A missing slot holds an arbitrary value that no rule reads. NaN never
     marks a missing cell: a ``nan`` cell is a present value, which
-    ``prepare`` rejects as ``nonfinite``, not ``missing``. Integer columns
-    are int64; ``from_records`` raises ValueError on a value that does not
-    fit its column's dtype.
+    ``prepare`` rejects as ``nonfinite``, not ``missing``.
     """
 
     values: dict[str, np.ndarray]
@@ -107,50 +88,6 @@ class Statements:
     @property
     def n(self) -> int:
         return len(self.values["statement_year"])
-
-    @classmethod
-    def from_records(cls, records: Sequence[CompanyRecord]) -> "Statements":
-        values, missing = {}, {}
-        for name in RECORD_FIELDS:
-            kind = _KINDS[name]
-            cells = [getattr(rec, name) for rec in records]
-            missing[name] = np.array([v is None for v in cells], dtype=bool)
-            try:
-                values[name] = np.array(
-                    [_FILLERS[kind] if v is None else v for v in cells], dtype=_DTYPES[kind]
-                )
-            except OverflowError:
-                dtype = np.dtype(_DTYPES[kind]).name
-                raise ValueError(f"{name} holds a value outside the {dtype} range") from None
-        return cls(values, missing)
-
-    def to_records(self) -> list[CompanyRecord]:
-        columns = []
-        for name in RECORD_FIELDS:
-            cells = self.values[name].tolist()
-            for i in np.flatnonzero(self.missing[name]).tolist():
-                cells[i] = None
-            columns.append(cells)
-        return list(map(CompanyRecord, *columns))
-
-
-@dataclass
-class FeatureVector:
-    """Model input row: ratio features, one-hot country, and the label."""
-
-    company_id: str
-    statement_year: int
-    r1_solvency: float
-    r2_solvency: float
-    r1_liquidity: float
-    r2_liquidity: float
-    r1_profitability: float
-    r2_profitability: float
-    r3_profitability: float
-    time_in_business: float
-    sales_evolution: float
-    country_onehot: np.ndarray
-    label: int
 
 
 @dataclass
@@ -356,19 +293,6 @@ def label_statements(st: Statements) -> tuple[np.ndarray, np.ndarray]:
     return order[:-1][pair], flag[1:][pair].astype(int)
 
 
-def label_records(records: Sequence[CompanyRecord]) -> list[tuple[CompanyRecord, int]]:
-    """Attach one-year-horizon default labels (see ``label_statements``).
-
-    Emits (record at t, label) for each labeled record, with label 1 iff the
-    t+1 statement flags the company out of business. Records without a t+1
-    statement, or already out of business at t, produce nothing.
-
-    Raises ValueError on a duplicate (company_id, statement_year) pair.
-    """
-    rows, labels = label_statements(Statements.from_records(records))
-    return [(records[i], label) for i, label in zip(rows.tolist(), labels.tolist())]
-
-
 def yearly_default_rates(years: np.ndarray, labels: np.ndarray) -> list[dict]:
     """Per-year counts and default fractions of labeled rows.
 
@@ -386,7 +310,7 @@ def yearly_default_rates(years: np.ndarray, labels: np.ndarray) -> list[dict]:
     ]
 
 
-# Fields compute_ratios needs, in the order missing-field reasons are reported.
+# Fields statement_features needs, in the order missing-field reasons are reported.
 REQUIRED_RATIO_FIELDS = (
     "net_worth",
     "total_assets",
@@ -484,39 +408,6 @@ def statement_features(
     return fm, rejections
 
 
-def compute_ratios(
-    record: CompanyRecord,
-    label: int,
-    countries: Sequence[str] = DEFAULT_COUNTRIES,
-) -> FeatureVector | Rejection:
-    """Derive the ratio features for one labeled statement.
-
-    Returns a Rejection instead of a FeatureVector when a required input is
-    missing, a denominator is zero, the country is unknown, or any computed
-    value is non-finite (see ``statement_features``).
-    """
-    fm, rejections = build_feature_matrix([(record, label)], countries)
-    if rejections:
-        return rejections[0]
-    n_cont = len(CONTINUOUS_COLUMNS)
-    return FeatureVector(
-        record.company_id,
-        record.statement_year,
-        *fm.X[0, :n_cont].tolist(),
-        country_onehot=fm.X[0, n_cont:],
-        label=label,
-    )
-
-
-def build_feature_matrix(
-    labeled: Sequence[tuple[CompanyRecord, int]],
-    countries: Sequence[str] = DEFAULT_COUNTRIES,
-) -> tuple[FeatureMatrix, list[Rejection]]:
-    """Run compute_ratios over labeled records and stack the survivors."""
-    st = Statements.from_records([rec for rec, _ in labeled])
-    return statement_features(st, np.arange(st.n), [label for _, label in labeled], countries)
-
-
 def split(fm: FeatureMatrix, spec: SplitSpec) -> SplitResult:
     """Partition rows by statement year.
 
@@ -600,19 +491,17 @@ class PrepareResult:
 
 
 def prepare(
-    statements: Statements | Sequence[CompanyRecord],
+    statements: Statements,
     spec: SplitSpec,
     countries: Sequence[str] = DEFAULT_COUNTRIES,
 ) -> PrepareResult:
     """Full preparation pass: label, derive features, split, and scale.
 
-    ``statements`` are columns or a record list. The scaler is fitted on
-    the training split only and then applied to all rows, so test and
-    validation never leak into the statistics.
+    The scaler is fitted on the training split only and then applied to all
+    rows, so test and validation never leak into the statistics.
     """
-    st = statements if isinstance(statements, Statements) else Statements.from_records(statements)
-    rows, labels = label_statements(st)
-    fm, rejections = statement_features(st, rows, labels, countries)
+    rows, labels = label_statements(statements)
+    fm, rejections = statement_features(statements, rows, labels, countries)
     sp = split(fm, spec)
     scaler = fit_scaler(sp.train)
     scaled = apply_scaler(scaler, fm)
@@ -631,7 +520,7 @@ def prepare(
         scaler=scaler,
         countries=list(countries),
         rejections=rejections,
-        default_rates=yearly_default_rates(st.values["statement_year"][rows], labels),
+        default_rates=yearly_default_rates(statements.values["statement_year"][rows], labels),
     )
 
 
@@ -650,13 +539,13 @@ def _parse_column(name: str, cells) -> tuple[np.ndarray, np.ndarray, Optional[tu
     cells = list(map(str.strip, cells))
     n = len(cells)
     kind = _KINDS[name]
-    if kind == "bool":
+    if kind is bool:
         codes = np.fromiter(map(_BOOL_CODES.get, map(str.lower, cells), repeat(-2)), np.int8, n)
         bad = np.flatnonzero(codes == -2)
         error = (int(bad[0]), f"cannot parse boolean cell {cells[bad[0]]!r} for {name}") if bad.size else None
         return codes == 1, codes == -1, error
     missing = np.fromiter(map(operator.not_, cells), bool, n)
-    if kind == "str":
+    if kind is str:
         return np.array(cells, dtype=str), missing, None
     filled = [cell or "0" for cell in cells] if missing.any() else cells
     try:
@@ -664,7 +553,7 @@ def _parse_column(name: str, cells) -> tuple[np.ndarray, np.ndarray, Optional[tu
     except ValueError:
         row, message = _first_float_error(filled)
         return np.zeros(n), missing, (row, f"{name}: {message}")
-    if kind == "float":
+    if kind is float:
         return values, missing, None
     whole = np.isfinite(values) & (values == np.trunc(values)) & (values >= -2.0**63) & (values < 2.0**63)
     bad = np.flatnonzero(~whole)
@@ -684,7 +573,7 @@ def _parse_block(
         rows = [row + [""] * (width - len(row)) for row in rows]
     columns = list(zip(*rows))
     values, missing, errors = {}, {}, []
-    for pos, name in enumerate(RECORD_FIELDS):
+    for pos, name in enumerate(_KINDS):
         values[name], missing[name], error = _parse_column(name, columns[index[name]])
         if error is not None:
             errors.append((error[0], pos, error[1]))
@@ -712,7 +601,7 @@ def _line_of(path, row: int, skip_blank: bool = True) -> int:
 def read_statements(path) -> Statements:
     """Read raw statements from CSV into columns, BLOCK_ROWS rows at a time.
 
-    Column names are the CompanyRecord field names and other columns are
+    Column names are the ``_KINDS`` field names and other columns are
     ignored. Cells are stripped, an empty cell means missing, a short row
     reads as missing cells and extra cells are ignored. A bad cell raises
     ValueError naming the file line; so does an empty company_id or
@@ -722,7 +611,7 @@ def read_statements(path) -> Statements:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
-        absent = set(RECORD_FIELDS) - set(header)
+        absent = set(_KINDS) - set(header)
         if absent:
             raise ValueError(f"raw CSV is missing columns: {sorted(absent)}")
         index = {name: j for j, name in enumerate(header)}  # a repeated name: the last wins
@@ -733,24 +622,20 @@ def read_statements(path) -> Statements:
                 row, _, message = error
                 raise ValueError(f"{path} line {_line_of(path, BLOCK_ROWS * len(parts) + row)}: {message}")
             parts.append(part)
-    if not parts:
-        return Statements.from_records([])
+    if not parts:  # a header-only file
+        return Statements({name: np.empty(0, kind) for name, kind in _KINDS.items()},
+                          {name: np.empty(0, bool) for name in _KINDS})
     return Statements(
-        {name: np.concatenate([p.values[name] for p in parts]) for name in RECORD_FIELDS},
-        {name: np.concatenate([p.missing[name] for p in parts]) for name in RECORD_FIELDS},
+        {name: np.concatenate([p.values[name] for p in parts]) for name in _KINDS},
+        {name: np.concatenate([p.missing[name] for p in parts]) for name in _KINDS},
     )
-
-
-def read_records(path) -> list[CompanyRecord]:
-    """Read raw statements from CSV as records (see ``read_statements``)."""
-    return read_statements(path).to_records()
 
 
 def _format_column(name: str, values: np.ndarray, missing: np.ndarray) -> list[str]:
     kind = _KINDS[name]
-    if kind == "bool":
+    if kind is bool:
         cells = np.where(values, "true", "false").tolist()
-    elif kind == "float":
+    elif kind is float:
         cells = list(map(repr, values.tolist()))
     else:
         cells = list(map(str, values.tolist()))
@@ -762,15 +647,12 @@ def _format_column(name: str, values: np.ndarray, missing: np.ndarray) -> list[s
 def write_statements(path, st: Statements) -> None:
     """Write ``st`` as raw-statement CSV, BLOCK_ROWS rows at a time."""
     with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(RECORD_FIELDS)
+        csv.writer(fh).writerow(_KINDS)
         for low in range(0, st.n, BLOCK_ROWS):
             block = slice(low, low + BLOCK_ROWS)
             columns = [
                 _format_column(name, st.values[name][block], st.missing[name][block])
-                for name in RECORD_FIELDS
+                for name in _KINDS
             ]
             csv.writer(fh).writerows(zip(*columns))
 
-
-def write_records(path, records: Sequence[CompanyRecord]) -> None:
-    write_statements(path, Statements.from_records(records))

@@ -42,7 +42,7 @@ class EvalReport:
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, sort_keys=True, allow_nan=False)
+            fh.write(json.dumps(self.to_dict(), sort_keys=True, allow_nan=False))
 
 
 def average_ranks(values: np.ndarray) -> np.ndarray:

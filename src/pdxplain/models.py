@@ -366,7 +366,7 @@ def save_model(model: Model, path) -> None:
         "parameters": model.parameters(),
     }
     with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, allow_nan=False)
+        fh.write(json.dumps(doc, sort_keys=True, allow_nan=False))
 
 
 def load_model(path) -> Model:

@@ -45,7 +45,6 @@ from .dataprep import (
     FeatureMatrix,
     SplitSpec,
     prepare,
-    read_records,  # noqa: F401  (re-exported: the record-level reader of data.csv)
     read_statements,
     write_statements,
 )
@@ -260,9 +259,9 @@ def generate_stage(config: GeneratorConfig, data_path, grades_path=None) -> dict
 
 
 def prepare_stage(statements, spec: SplitSpec, countries, features_path, meta_path):
-    """Label, derive ratios, split and scale ``statements`` (columns or
-    records); write the feature matrix and its sidecar (scaler, split
-    membership, rejection counts, per-year default rates of the labels)."""
+    """Label, derive ratios, split and scale the raw ``statements`` columns;
+    write the feature matrix and its sidecar (scaler, split membership,
+    rejection counts, per-year default rates of the labels)."""
     prep = prepare(statements, spec, countries)
     prep.features.to_csv(features_path)
     write_json(meta_path, {

@@ -359,7 +359,7 @@ class AttributionReport:
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, sort_keys=True, allow_nan=False)
+            fh.write(json.dumps(self.to_dict(), sort_keys=True, allow_nan=False))
 
     @classmethod
     def load(cls, path) -> "AttributionReport":

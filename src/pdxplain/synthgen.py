@@ -20,17 +20,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataprep import (
-    DEFAULT_COUNTRIES,
-    RECORD_FIELDS,
-    CompanyRecord,
-    Statements,
-    label_statements,
-    yearly_default_rates,
-)
+from .dataprep import _KINDS, DEFAULT_COUNTRIES, Statements
 
 MASKABLE_FIELDS = tuple(
-    f for f in RECORD_FIELDS if f not in ("company_id", "statement_year", "out_of_business")
+    f for f in _KINDS if f not in ("company_id", "statement_year", "out_of_business")
 )
 
 # Sampling weights of the known countries (heavily France, as in a
@@ -289,7 +282,7 @@ def generate_statements(config: GeneratorConfig) -> tuple[Statements, SynthOracl
     }
     missing = {
         name: panel.masks[name][company, t] if name in panel.masks else np.zeros(company.size, dtype=bool)
-        for name in RECORD_FIELDS
+        for name in _KINDS
     }
 
     live = t < end[company]
@@ -302,18 +295,6 @@ def generate_statements(config: GeneratorConfig) -> tuple[Statements, SynthOracl
         target_rate=target,
     )
     return Statements(values, missing), oracle
-
-
-def generate_with_oracle(config: GeneratorConfig) -> tuple[list[CompanyRecord], SynthOracle]:
-    """Generate the panel as records plus the generator's own ground truth."""
-    statements, oracle = generate_statements(config)
-    return statements.to_records(), oracle
-
-
-def generate(config: GeneratorConfig) -> list[CompanyRecord]:
-    """Generate a synthetic panel of yearly statements."""
-    records, _ = generate_with_oracle(config)
-    return records
 
 
 # Fractions of rated companies assigned to each reference grade, least to
@@ -338,12 +319,3 @@ def oracle_reference_grades(
     idx = np.searchsorted(cuts, oracle.propensity, side="right")
     return list(zip(oracle.company_ids, oracle.years.tolist(), map(GRADES.__getitem__, idx.tolist())))
 
-
-def default_rate_report(records: Sequence[CompanyRecord]) -> list[dict]:
-    """Per-year labeled-row counts and default fractions.
-
-    Years inside the labeled span with no rated companies report zero count.
-    """
-    statements = Statements.from_records(records)
-    rows, labels = label_statements(statements)
-    return yearly_default_rates(statements.values["statement_year"][rows], labels)

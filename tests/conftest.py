@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 import pdxplain as px
+from pdxplain.dataprep import DEFAULT_COUNTRIES, statement_features
+
+from record_loops import CompanyRecord, to_statements
 
 
 def make_record(
@@ -30,13 +33,20 @@ def make_record(
         total_current_liabilities=30.0,
     )
     base.update(overrides)
-    return px.CompanyRecord(
+    return CompanyRecord(
         company_id=company_id,
         statement_year=statement_year,
         out_of_business=out_of_business,
         country_code=country_code,
         **base,
     )
+
+
+def features_of(labeled, countries=DEFAULT_COUNTRIES):
+    """``statement_features`` over (record, label) pairs, every row kept in
+    order: the feature matrix and the rejections."""
+    st = to_statements([rec for rec, _ in labeled])
+    return statement_features(st, np.arange(st.n), [label for _, label in labeled], countries)
 
 
 def random_matrix(n, seed=0, positive_fraction=0.3, columns=None, countries=2):
@@ -71,6 +81,6 @@ def small_panel():
         signal_strength=1.2,
         seed=7,
     )
-    records, oracle = px.generate_with_oracle(cfg)
-    prep = px.prepare(records, px.SplitSpec(seed=3))
-    return {"records": records, "oracle": oracle, "prep": prep}
+    statements, oracle = px.generate_statements(cfg)
+    prep = px.prepare(statements, px.SplitSpec(seed=3))
+    return {"statements": statements, "oracle": oracle, "prep": prep}

@@ -3,21 +3,26 @@
 columns. Also the random forest fit on bootstrap rows repeated, before it fit
 on bootstrap counts. Tests compare the package against them; nothing in
 ``src/`` imports this module.
+
+A raw statement here is a ``CompanyRecord``; ``to_statements`` and
+``to_records`` convert between records and the package's ``Statements``
+columns.
 """
 
 import csv
+from dataclasses import dataclass, fields
+from typing import Optional
 
 import numpy as np
 
 from pdxplain.dataprep import (
+    _KINDS,
     CONTINUOUS_COLUMNS,
     DEFAULT_COUNTRIES,
-    RECORD_FIELDS,
     REQUIRED_RATIO_FIELDS,
-    CompanyRecord,
     FeatureMatrix,
-    FeatureVector,
     Rejection,
+    Statements,
 )
 from pdxplain.models import RFParams, TreeEnsembleModel
 from pdxplain.synthgen import (
@@ -28,6 +33,75 @@ from pdxplain.synthgen import (
     _sigmoid,
 )
 from pdxplain.trees import GINI, TreeConfig, fit_tree
+
+
+@dataclass
+class CompanyRecord:
+    """One raw yearly financial statement. Any field besides the identifying
+    pair may be missing (None)."""
+
+    company_id: str
+    statement_year: int
+    out_of_business: Optional[bool] = None
+    country_code: Optional[str] = None
+    total_employees: Optional[float] = None
+    net_worth: Optional[float] = None
+    total_assets: Optional[float] = None
+    gross_income: Optional[float] = None
+    total_liabilities: Optional[float] = None
+    current_ratio: Optional[float] = None
+    cash_liquid_assets: Optional[float] = None
+    sales: Optional[float] = None
+    working_capital: Optional[float] = None
+    net_income: Optional[float] = None
+    incorporation_year: Optional[int] = None
+    previous_sales: Optional[float] = None
+    financial_debt: Optional[float] = None
+    total_current_assets: Optional[float] = None
+    total_current_liabilities: Optional[float] = None
+
+
+RECORD_FIELDS = tuple(f.name for f in fields(CompanyRecord))
+
+
+@dataclass
+class FeatureVector:
+    """Model input row: ratio features, one-hot country, and the label."""
+
+    company_id: str
+    statement_year: int
+    r1_solvency: float
+    r2_solvency: float
+    r1_liquidity: float
+    r2_liquidity: float
+    r1_profitability: float
+    r2_profitability: float
+    r3_profitability: float
+    time_in_business: float
+    sales_evolution: float
+    country_onehot: np.ndarray
+    label: int
+
+
+def to_statements(records) -> Statements:
+    """``records`` as columns; a None cell is missing and holds its type's zero."""
+    values, missing = {}, {}
+    for name, kind in _KINDS.items():
+        cells = [getattr(rec, name) for rec in records]
+        missing[name] = np.array([v is None for v in cells], dtype=bool)
+        values[name] = np.array([kind() if v is None else v for v in cells], dtype=kind)
+    return Statements(values, missing)
+
+
+def to_records(statements) -> list:
+    """The rows of ``statements`` as records, missing cells as None."""
+    columns = []
+    for name in RECORD_FIELDS:
+        cells = statements.values[name].tolist()
+        for i in np.flatnonzero(statements.missing[name]).tolist():
+            cells[i] = None
+        columns.append(cells)
+    return list(map(CompanyRecord, *columns))
 
 
 def label_records(records):

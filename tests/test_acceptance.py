@@ -53,8 +53,8 @@ def panel_splits(n_companies, imbalance, signal, seed):
         signal_strength=signal,
         seed=seed,
     )
-    records = px.generate(cfg)
-    return px.prepare(records, px.SplitSpec(test_fraction=0.3, seed=seed)).split
+    statements, _ = px.generate_statements(cfg)
+    return px.prepare(statements, px.SplitSpec(test_fraction=0.3, seed=seed)).split
 
 
 def test_criterion_1_grade_interval_fidelity():
@@ -228,7 +228,8 @@ def test_criterion_5_imbalance_behavior():
                 signal_strength=signal,
                 seed=seed,
             )
-            prep = px.prepare(px.generate(cfg), px.SplitSpec(test_fraction=0.3, seed=seed))
+            statements, _ = px.generate_statements(cfg)
+            prep = px.prepare(statements, px.SplitSpec(test_fraction=0.3, seed=seed))
             train, val = prep.split.train, prep.split.validation
             rs = px.resample(train, px.SmoteConfig(k=10, target_ratio=0.5, seed=seed))
 

@@ -104,6 +104,15 @@ class TestSurveyValidation:
         with pytest.raises(ValueError, match="negative"):
             px.load_survey(path)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_points_rejected_naming_analyst_and_feature(self, tmp_path, cell):
+        rows = uniform_survey_rows(PLAYER_FEATURES, analysts=("a1", "a2"))
+        rows[13] = ("a2", PLAYER_FEATURES[3], cell)
+        path = tmp_path / "s.csv"
+        write_survey(path, rows)
+        with pytest.raises(ValueError, match=f"non-finite points for analyst 'a2', feature '{PLAYER_FEATURES[3]}'"):
+            px.load_survey(path)
+
     def test_single_analyst_all_on_one_feature(self, tmp_path):
         path = tmp_path / "s.csv"
         rows = [("solo", f, 0) for f in PLAYER_FEATURES if f != "r2_liquidity"]

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 import pdxplain as px
-from pdxplain import dataprep, synthgen
-from pdxplain.dataprep import REQUIRED_RATIO_FIELDS, Statements
+from pdxplain import dataprep
+from pdxplain.dataprep import REQUIRED_RATIO_FIELDS
 
 import record_loops as ref
-from conftest import make_record
+from conftest import features_of, make_record
 
 MISSING_RATES = {
     "country_code": 0.03,
@@ -29,8 +29,26 @@ def panel(request):
         n_companies=1500, year_range=(2004, 2018), imbalance_ratio=imbalance,
         missing_rates=MISSING_RATES, signal_strength=1.1, seed=seed,
     )
-    records, oracle = px.generate_with_oracle(config)
-    return {"config": config, "records": records, "oracle": oracle}
+    statements, oracle = px.generate_statements(config)
+    return {"config": config, "statements": statements, "records": ref.to_records(statements),
+            "oracle": oracle}
+
+
+def column_labels(st):
+    """(row, label) of every row ``label_statements`` labels."""
+    rows, labels = dataprep.label_statements(st)
+    return list(zip(rows.tolist(), labels.tolist()))
+
+
+def loop_labels(records):
+    """``ref.label_records`` as (row index, label) pairs."""
+    index = {id(rec): i for i, rec in enumerate(records)}
+    return [(index[id(rec)], label) for rec, label in ref.label_records(records)]
+
+
+def column_default_rates(st):
+    rows, labels = dataprep.label_statements(st)
+    return dataprep.yearly_default_rates(st.values["statement_year"][rows], labels)
 
 
 def assert_same_matrix(got, want):
@@ -54,30 +72,23 @@ class TestGeneratedPanels:
             np.testing.assert_array_equal(got, want)
             assert got.dtype == want.dtype
 
-    def test_statements_hold_the_generated_records(self, panel):
-        statements, _ = synthgen.generate_statements(panel["config"])
-        assert statements.to_records() == panel["records"]
-
     def test_labels_match(self, panel):
-        records = panel["records"]
-        got = px.label_records(records)
-        want = ref.label_records(records)
-        assert [(id(r), label) for r, label in got] == [(id(r), label) for r, label in want]
-        assert all(type(label) is int for _, label in got)
+        assert column_labels(panel["statements"]) == loop_labels(panel["records"])
+        assert dataprep.label_statements(panel["statements"])[1].dtype == np.int64
 
     def test_features_and_rejections_match(self, panel):
-        labeled = ref.label_records(panel["records"])
-        fm, rejections = dataprep.build_feature_matrix(labeled)
-        want_fm, want_rejections = ref.build_feature_matrix(labeled)
+        st = panel["statements"]
+        fm, rejections = dataprep.statement_features(st, *dataprep.label_statements(st))
+        want_fm, want_rejections = ref.build_feature_matrix(ref.label_records(panel["records"]))
         assert_same_matrix(fm, want_fm)
         assert rejections == want_rejections
         assert {r.reason.split(":")[0] for r in rejections} >= {"missing"}
 
     def test_default_rates_match(self, panel):
-        assert px.default_rate_report(panel["records"]) == ref.default_rate_report(panel["records"])
+        assert column_default_rates(panel["statements"]) == ref.default_rate_report(panel["records"])
 
     def test_prepare_matches_the_record_loops(self, panel):
-        prep = px.prepare(panel["records"], px.SplitSpec(seed=4))
+        prep = px.prepare(panel["statements"], px.SplitSpec(seed=4))
         want_fm, want_rejections = ref.build_feature_matrix(ref.label_records(panel["records"]))
         assert prep.rejections == want_rejections
         assert prep.default_rates == ref.default_rate_report(panel["records"])
@@ -86,9 +97,9 @@ class TestGeneratedPanels:
 
     def test_data_csv_bytes_match(self, panel, tmp_path):
         ref.write_records(tmp_path / "want.csv", panel["records"])
-        dataprep.write_records(tmp_path / "records.csv", panel["records"])
-        statements, _ = synthgen.generate_statements(panel["config"])
-        dataprep.write_statements(tmp_path / "columns.csv", statements)
+        # The generator keeps values under its masks; the records hold None there.
+        dataprep.write_statements(tmp_path / "records.csv", ref.to_statements(panel["records"]))
+        dataprep.write_statements(tmp_path / "columns.csv", panel["statements"])
         want = (tmp_path / "want.csv").read_bytes()
         assert (tmp_path / "records.csv").read_bytes() == want
         assert (tmp_path / "columns.csv").read_bytes() == want
@@ -96,10 +107,10 @@ class TestGeneratedPanels:
     def test_data_csv_reads_back(self, panel, tmp_path):
         path = tmp_path / "data.csv"
         ref.write_records(path, panel["records"])
-        assert dataprep.read_records(path) == panel["records"]
+        assert ref.to_records(dataprep.read_statements(path)) == panel["records"]
 
     def test_features_csv_bytes_match(self, panel, tmp_path):
-        prep = px.prepare(panel["records"], px.SplitSpec(seed=4))
+        prep = px.prepare(panel["statements"], px.SplitSpec(seed=4))
         ref.features_to_csv(prep.features, tmp_path / "want.csv")
         prep.features.to_csv(tmp_path / "got.csv")
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
@@ -112,7 +123,7 @@ class TestQuotedText:
         records = [make_record(cid, 2010 + i, country_code=cc)
                    for i, cid in enumerate(self.IDS) for cc in ("FR", "F,R", None)]
         ref.write_records(tmp_path / "want.csv", records)
-        dataprep.write_records(tmp_path / "got.csv", records)
+        dataprep.write_statements(tmp_path / "got.csv", ref.to_statements(records))
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
     def test_features_csv_bytes_match(self, tmp_path):
@@ -139,7 +150,7 @@ GOOD = "A,2010,0.5,-1.25,1\n"
 
 class TestFeatureCsvReader:
     def test_generated_features_match(self, panel, tmp_path):
-        prep = px.prepare(panel["records"], px.SplitSpec(seed=4))
+        prep = px.prepare(panel["statements"], px.SplitSpec(seed=4))
         resampled = px.resample(prep.split.train, px.SmoteConfig(seed=2)).data
         for name, fm in (("features.csv", prep.features), ("train_resampled.csv", resampled)):
             fm.to_csv(tmp_path / name)
@@ -269,19 +280,8 @@ def random_rows(n, seed):
 class TestRejectionReasons:
     @pytest.mark.parametrize("countries", [px.dataprep.DEFAULT_COUNTRIES, ("GB", "FR", "GB")])
     def test_hand_made_rows(self, countries):
-        rows = hand_made_rows()
-        for rec in rows:
-            got, want = px.compute_ratios(rec, 1, countries), ref.compute_ratios(rec, 1, countries)
-            assert type(got) is type(want)
-            if isinstance(want, px.dataprep.Rejection):
-                assert got == want
-            else:
-                assert got.label == want.label and got.company_id == want.company_id
-                np.testing.assert_array_equal(got.country_onehot, want.country_onehot)
-                for c in px.dataprep.CONTINUOUS_COLUMNS:
-                    assert getattr(got, c) == getattr(want, c)
-        labeled = [(rec, i % 2) for i, rec in enumerate(rows)]
-        fm, rejections = dataprep.build_feature_matrix(labeled, countries)
+        labeled = [(rec, i % 2) for i, rec in enumerate(hand_made_rows())]
+        fm, rejections = features_of(labeled, countries)
         want_fm, want_rejections = ref.build_feature_matrix(labeled, countries)
         assert_same_matrix(fm, want_fm)
         assert rejections == want_rejections
@@ -291,16 +291,16 @@ class TestRejectionReasons:
     @pytest.mark.parametrize("seed", range(3))
     def test_random_rows(self, seed):
         labeled = [(rec, seed % 2) for rec in random_rows(1500, seed)]
-        fm, rejections = dataprep.build_feature_matrix(labeled)
+        fm, rejections = features_of(labeled)
         want_fm, want_rejections = ref.build_feature_matrix(labeled)
         assert_same_matrix(fm, want_fm)
         assert rejections == want_rejections
 
     def test_empty_input(self):
-        fm, rejections = dataprep.build_feature_matrix([])
+        fm, rejections = features_of([])
         want_fm, _ = ref.build_feature_matrix([])
         assert_same_matrix(fm, want_fm)
-        assert rejections == [] and px.label_records([]) == []
+        assert rejections == [] and column_labels(ref.to_statements([])) == []
 
 
 class TestExtremeYears:
@@ -310,16 +310,11 @@ class TestExtremeYears:
     def test_int64_years_match_the_record_loop(self):
         labeled = [(make_record(f"Y{i}", year, incorporation_year=inc), 0)
                    for i, (year, inc) in enumerate(self.YEARS)]
-        fm, rejections = dataprep.build_feature_matrix(labeled)
+        fm, rejections = features_of(labeled)
         want_fm, want_rejections = ref.build_feature_matrix(labeled)
         assert_same_matrix(fm, want_fm)
         assert rejections == want_rejections
         assert fm.n == 5 and len(rejections) == 3
-
-    @pytest.mark.parametrize("field,value", [("incorporation_year", 10**30), ("statement_year", -2**63 - 1)])
-    def test_year_outside_int64_names_the_field(self, field, value):
-        with pytest.raises(ValueError, match=f"{field} holds a value outside the int64 range"):
-            px.compute_ratios(make_record(**{field: value}), 0)
 
 
 def error_of(fn, records):
@@ -338,10 +333,9 @@ class TestLabelErrors:
     ])
     def test_same_message_and_first_offending_row(self, keys):
         records = [make_record(cid, year) for cid, year in keys]
-        assert error_of(px.label_records, records) == error_of(ref.label_records, records)
-        statements = Statements.from_records(records)
+        statements = ref.to_statements(records)
         assert error_of(dataprep.label_statements, statements) == error_of(ref.label_records, records)
-        assert error_of(px.default_rate_report, records) == error_of(ref.default_rate_report, records)
+        assert error_of(column_default_rates, statements) == error_of(ref.default_rate_report, records)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_random_flags_and_gaps(self, seed):
@@ -350,12 +344,11 @@ class TestLabelErrors:
         flags = [True, False, False, None]
         records = [make_record(cid, year, out_of_business=flags[rng.integers(4)])
                    for cid, year in sorted(keys, key=lambda k: rng.random())]
-        got = [(id(r), label) for r, label in px.label_records(records)]
-        assert got == [(id(r), label) for r, label in ref.label_records(records)]
-        assert px.default_rate_report(records) == ref.default_rate_report(records)
+        statements = ref.to_statements(records)
+        assert column_labels(statements) == loop_labels(records)
+        assert column_default_rates(statements) == ref.default_rate_report(records)
 
     def test_shuffled_panel_labels_match(self, panel):
         rng = np.random.default_rng(0)
         records = [panel["records"][i] for i in rng.permutation(len(panel["records"]))]
-        got = [(id(r), label) for r, label in px.label_records(records)]
-        assert got == [(id(r), label) for r, label in ref.label_records(records)]
+        assert column_labels(ref.to_statements(records)) == loop_labels(records)

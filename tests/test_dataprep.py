@@ -4,16 +4,29 @@ import numpy as np
 import pytest
 
 import pdxplain as px
-from pdxplain.dataprep import (
-    CONTINUOUS_COLUMNS,
-    RECORD_FIELDS,
-    Rejection,
-    build_feature_matrix,
-    read_records,
-    write_records,
-)
+from pdxplain.dataprep import CONTINUOUS_COLUMNS, Rejection, read_statements, write_statements
 
-from conftest import make_record
+from conftest import features_of, make_record
+from record_loops import RECORD_FIELDS, to_records, to_statements
+
+
+def labels_of(records):
+    """(row, label) of every labeled row of ``records``."""
+    rows, labels = px.label_statements(to_statements(records))
+    return list(zip(rows.tolist(), labels.tolist()))
+
+
+def ratios(record, label=0):
+    """The feature row of one labeled record as {column: value, "label":
+    label}, or its Rejection."""
+    fm, rejections = features_of([(record, label)])
+    if rejections:
+        return rejections[0]
+    return {**dict(zip(fm.columns, fm.X[0].tolist())), "label": int(fm.y[0])}
+
+
+def read_rows(path):
+    return to_records(read_statements(path))
 
 
 class TestLabeling:
@@ -22,96 +35,86 @@ class TestLabeling:
             make_record("A", 2010, out_of_business=False),
             make_record("A", 2011, out_of_business=True),
         ]
-        labeled = px.label_records(recs)
-        assert len(labeled) == 1
-        rec, label = labeled[0]
-        assert (rec.statement_year, label) == (2010, 1)
+        assert labels_of(recs) == [(0, 1)]
 
     def test_alive_next_year_gets_label_zero(self):
         recs = [
             make_record("A", 2010, out_of_business=False),
             make_record("A", 2011, out_of_business=False),
         ]
-        labeled = px.label_records(recs)
-        assert [(r.statement_year, l) for r, l in labeled] == [(2010, 0)]
+        assert labels_of(recs) == [(0, 0)]
 
     def test_single_year_yields_nothing(self):
-        assert px.label_records([make_record("A", 2010)]) == []
+        assert labels_of([make_record("A", 2010)]) == []
 
     def test_year_gap_yields_nothing(self):
         recs = [make_record("A", 2010), make_record("A", 2012)]
-        assert px.label_records(recs) == []
+        assert labels_of(recs) == []
 
     def test_already_defaulted_rows_never_emitted(self):
         recs = [
             make_record("A", 2010, out_of_business=True),
             make_record("A", 2011, out_of_business=True),
         ]
-        assert px.label_records(recs) == []
+        assert labels_of(recs) == []
 
     def test_missing_flag_drops_pair(self):
         recs = [
             make_record("A", 2010, out_of_business=None),
             make_record("A", 2011, out_of_business=False),
         ]
-        assert px.label_records(recs) == []
+        assert labels_of(recs) == []
 
     def test_duplicate_statement_rejected_with_identifier(self):
         recs = [make_record("A", 2010), make_record("A", 2010)]
         with pytest.raises(ValueError, match="'A'.*2010"):
-            px.label_records(recs)
+            labels_of(recs)
 
 
 class TestRatios:
     def test_solvency_ratio(self):
-        fv = px.compute_ratios(make_record(net_worth=50.0, total_assets=100.0), label=0)
-        assert fv.r1_solvency == 0.5
+        assert ratios(make_record(net_worth=50.0, total_assets=100.0))["r1_solvency"] == 0.5
 
     def test_zero_denominator_rejected(self):
-        out = px.compute_ratios(make_record(gross_income=0.0, financial_debt=10.0), label=0)
+        out = ratios(make_record(gross_income=0.0, financial_debt=10.0))
         assert isinstance(out, Rejection)
         assert out.reason == "zero_denominator:gross_income"
 
     def test_time_in_business(self):
-        fv = px.compute_ratios(
-            make_record(statement_year=2012, incorporation_year=2000), label=0
-        )
-        assert fv.time_in_business == 12
+        fv = ratios(make_record(statement_year=2012, incorporation_year=2000))
+        assert fv["time_in_business"] == 12
 
     def test_missing_field_rejected(self):
-        out = px.compute_ratios(make_record(sales=None), label=0)
+        out = ratios(make_record(sales=None))
         assert isinstance(out, Rejection) and out.reason == "missing:sales"
 
     def test_unknown_country_rejected(self):
-        out = px.compute_ratios(make_record(country_code="US"), label=0)
+        out = ratios(make_record(country_code="US"))
         assert isinstance(out, Rejection) and out.reason == "unknown_country:US"
 
     def test_nonfinite_result_rejected(self):
-        out = px.compute_ratios(
-            make_record(sales=1e308, previous_sales=-1e308), label=0
-        )
+        out = ratios(make_record(sales=1e308, previous_sales=-1e308))
         assert isinstance(out, Rejection) and out.reason.startswith("nonfinite:")
 
     def test_statement_before_incorporation_rejected(self):
-        out = px.compute_ratios(
-            make_record(statement_year=1995, incorporation_year=2000), label=0
-        )
+        out = ratios(make_record(statement_year=1995, incorporation_year=2000))
         assert isinstance(out, Rejection) and out.reason == "invalid:time_in_business"
 
     def test_country_onehot_sums_to_one(self):
-        fv = px.compute_ratios(make_record(country_code="NL"), label=1)
-        assert fv.country_onehot.sum() == 1.0
-        assert fv.label == 1
+        fv = ratios(make_record(country_code="NL"), label=1)
+        assert sum(v for c, v in fv.items() if c.startswith("country_")) == 1.0
+        assert fv["country_NL"] == 1.0
+        assert fv["label"] == 1
 
     def test_all_ratio_values(self):
-        fv = px.compute_ratios(make_record(), label=0)
-        assert fv.r2_solvency == 30.0 / 20.0
-        assert fv.r1_liquidity == 45.0 / 30.0
-        assert fv.r2_liquidity == 15.0 / 120.0
-        assert fv.r1_profitability == 10.0 / 120.0
-        assert fv.r2_profitability == 6.0
-        assert fv.r3_profitability == 20.0 / 100.0
-        assert fv.sales_evolution == 10.0
+        fv = ratios(make_record())
+        assert fv["r2_solvency"] == 30.0 / 20.0
+        assert fv["r1_liquidity"] == 45.0 / 30.0
+        assert fv["r2_liquidity"] == 15.0 / 120.0
+        assert fv["r1_profitability"] == 10.0 / 120.0
+        assert fv["r2_profitability"] == 6.0
+        assert fv["r3_profitability"] == 20.0 / 100.0
+        assert fv["sales_evolution"] == 10.0
 
 
 def _year_matrix(years, seed=0):
@@ -119,7 +122,7 @@ def _year_matrix(years, seed=0):
     labeled = []
     for i, year in enumerate(years):
         labeled.append((make_record(f"C{i}", year, net_worth=float(rng.uniform(10, 90))), 0))
-    fm, rejections = build_feature_matrix(labeled)
+    fm, rejections = features_of(labeled)
     assert not rejections
     return fm
 
@@ -177,7 +180,7 @@ class TestScaler:
             if "r1_solvency" in column_values:
                 over["net_worth"] = column_values["r1_solvency"][i] * 100.0
             labeled.append((make_record(f"C{i}", 2010, **over), 0))
-        fm, _ = build_feature_matrix(labeled)
+        fm, _ = features_of(labeled)
         return fm
 
     def test_population_std_two_points(self):
@@ -214,7 +217,7 @@ class TestScaler:
             )
             for i in range(40)
         ]
-        fm, _ = build_feature_matrix(labeled)
+        fm, _ = features_of(labeled)
         params = px.fit_scaler(fm)
         scaled = px.apply_scaler(params, fm)
         idx = [scaled.columns.index(c) for c in params.columns]
@@ -249,13 +252,12 @@ class TestCsvRoundTrip:
             make_record("B", 2011, out_of_business=True, sales=None, country_code=None),
         ]
         path = tmp_path / "raw.csv"
-        write_records(path, recs)
-        back = read_records(path)
-        assert back == recs
+        write_statements(path, to_statements(recs))
+        assert read_rows(path) == recs
 
     def test_feature_matrix_round_trip(self, tmp_path):
         labeled = [(make_record(f"C{i}", 2010 + i % 3), i % 2) for i in range(7)]
-        fm, _ = build_feature_matrix(labeled)
+        fm, _ = features_of(labeled)
         path = tmp_path / "features.csv"
         fm.to_csv(path)
         back = px.FeatureMatrix.from_csv(path)
@@ -280,7 +282,7 @@ class TestCsvRoundTrip:
         path = tmp_path / "bad.csv"
         path.write_text("company_id,statement_year\nA,2010\n")
         with pytest.raises(ValueError, match="missing columns"):
-            read_records(path)
+            read_statements(path)
 
 
 class TestPrepare:
@@ -320,23 +322,23 @@ def full_row(**cells):
 
 class TestReaderEdgeCases:
     def test_short_row_reads_as_missing_cells(self, tmp_path):
-        (rec,) = read_records(raw_csv(tmp_path, "A,2010,false"))
+        (rec,) = read_rows(raw_csv(tmp_path, "A,2010,false"))
         assert (rec.company_id, rec.statement_year, rec.out_of_business) == ("A", 2010, False)
         assert all(getattr(rec, name) is None for name in RECORD_FIELDS[3:])
 
     def test_extra_cells_are_ignored(self, tmp_path):
-        (rec,) = read_records(raw_csv(tmp_path, full_row() + ",surplus,9.5"))
+        (rec,) = read_rows(raw_csv(tmp_path, full_row() + ",surplus,9.5"))
         assert rec == make_record()
 
     def test_extra_columns_are_ignored(self, tmp_path):
         header = "note," + ",".join(RECORD_FIELDS)
-        (rec,) = read_records(raw_csv(tmp_path, "hello," + full_row(), header=header))
+        (rec,) = read_rows(raw_csv(tmp_path, "hello," + full_row(), header=header))
         assert rec == make_record()
 
     def test_whitespace_is_stripped(self, tmp_path):
         row = full_row(company_id="  A ", statement_year=" 2011 ", out_of_business=" TRUE ",
                        country_code=" NL ", sales=" 12.5 ", incorporation_year=" 1999")
-        (rec,) = read_records(raw_csv(tmp_path, row))
+        (rec,) = read_rows(raw_csv(tmp_path, row))
         assert (rec.company_id, rec.statement_year, rec.out_of_business) == ("A", 2011, True)
         assert (rec.country_code, rec.sales, rec.incorporation_year) == ("NL", 12.5, 1999)
 
@@ -346,13 +348,13 @@ class TestReaderEdgeCases:
         ("N", False), ("", None), ("  ", None),
     ])
     def test_boolean_tokens(self, tmp_path, token, value):
-        (rec,) = read_records(raw_csv(tmp_path, full_row(out_of_business=token)))
+        (rec,) = read_rows(raw_csv(tmp_path, full_row(out_of_business=token)))
         assert rec.out_of_business is value
 
     @pytest.mark.parametrize("token", ["maybe", "2", "t", "1.0", "nan"])
     def test_unknown_boolean_token_rejected(self, tmp_path, token):
         with pytest.raises(ValueError, match=f"cannot parse boolean cell '{token}' for out_of_business"):
-            read_records(raw_csv(tmp_path, full_row(out_of_business=token)))
+            read_statements(raw_csv(tmp_path, full_row(out_of_business=token)))
 
     @pytest.mark.parametrize("field,reason", [
         ("sales", "r2_liquidity"),
@@ -360,38 +362,50 @@ class TestReaderEdgeCases:
         ("previous_sales", "sales_evolution"),
     ])
     def test_empty_cell_is_missing_but_nan_is_nonfinite(self, tmp_path, field, reason):
-        (empty,) = read_records(raw_csv(tmp_path, full_row(**{field: ""})))
-        (nan,) = read_records(raw_csv(tmp_path, full_row(**{field: "nan"})))
+        (empty,) = read_rows(raw_csv(tmp_path, full_row(**{field: ""})))
+        (nan,) = read_rows(raw_csv(tmp_path, full_row(**{field: "nan"})))
         assert getattr(empty, field) is None and np.isnan(getattr(nan, field))
-        assert px.compute_ratios(empty, 0).reason == f"missing:{field}"
-        assert px.compute_ratios(nan, 0).reason == f"nonfinite:{reason}"
+        assert ratios(empty).reason == f"missing:{field}"
+        assert ratios(nan).reason == f"nonfinite:{reason}"
 
     def test_quoted_company_id_with_comma_round_trips(self, tmp_path):
         recs = [make_record('ACME, "Holdings" Ltd', 2010), make_record("Plain", 2011)]
         path = tmp_path / "raw.csv"
-        write_records(path, recs)
+        write_statements(path, to_statements(recs))
         assert '"ACME, ""Holdings"" Ltd"' in path.read_text()
-        assert read_records(path) == recs
+        assert read_rows(path) == recs
 
     def test_blank_lines_are_skipped(self, tmp_path):
         path = raw_csv(tmp_path, "", full_row(), "", full_row(company_id="B"))
-        assert [r.company_id for r in read_records(path)] == ["C1", "B"]
+        assert [r.company_id for r in read_rows(path)] == ["C1", "B"]
 
     def test_empty_company_id_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="company_id must be non-empty"):
-            read_records(raw_csv(tmp_path, full_row(), full_row(company_id=" ")))
+            read_statements(raw_csv(tmp_path, full_row(), full_row(company_id=" ")))
 
     def test_missing_statement_year_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="statement_year missing for company 'B'"):
-            read_records(raw_csv(tmp_path, full_row(), full_row(company_id="B", statement_year="")))
+            read_statements(raw_csv(tmp_path, full_row(), full_row(company_id="B", statement_year="")))
 
     def test_header_only_reads_no_statements(self, tmp_path):
-        assert read_records(raw_csv(tmp_path)) == []
+        empty = read_statements(raw_csv(tmp_path))
+        one = read_statements(raw_csv(tmp_path, full_row()))
+        assert (empty.n, one.n) == (0, 1)
+        assert list(empty.values) == list(empty.missing) == list(one.values) == list(RECORD_FIELDS)
+        for name in RECORD_FIELDS:
+            assert empty.values[name].dtype.kind == one.values[name].dtype.kind, name
+            assert empty.missing[name].dtype == one.missing[name].dtype == bool
+        assert empty.values["statement_year"].dtype == empty.values["incorporation_year"].dtype == np.int64
+        assert empty.values["company_id"].dtype.kind == empty.values["country_code"].dtype.kind == "U"
+        assert empty.values["out_of_business"].dtype == bool
+        assert empty.values["sales"].dtype == np.float64
+        rows, labels = px.label_statements(empty)
+        assert rows.size == labels.size == 0
 
 
 class TestIntegerCells:
     def test_integral_float_text_accepted(self, tmp_path):
-        (rec,) = read_records(raw_csv(tmp_path, full_row(statement_year="2010.0", incorporation_year="1.999e3")))
+        (rec,) = read_rows(raw_csv(tmp_path, full_row(statement_year="2010.0", incorporation_year="1.999e3")))
         assert (rec.statement_year, rec.incorporation_year) == (2010, 1999)
         assert type(rec.statement_year) is int and type(rec.incorporation_year) is int
 
@@ -407,19 +421,19 @@ class TestIntegerCells:
     def test_bad_integer_cell_names_column_and_line(self, tmp_path, field, cell):
         path = raw_csv(tmp_path, full_row(), full_row(company_id="B"), full_row(company_id="C", **{field: cell}))
         with pytest.raises(ValueError, match=re.escape(f"{path} line 4: {field} cell '{cell}'")):
-            read_records(path)
+            read_statements(path)
 
     def test_line_counts_quoted_newlines_and_blank_lines(self, tmp_path):
         path = raw_csv(tmp_path, "", full_row(company_id='"two\nlines"'), "",
                        full_row(company_id="B", incorporation_year="12.5"))
         with pytest.raises(ValueError, match=re.escape(f"{path} line 6: incorporation_year cell '12.5'")):
-            read_records(path)
+            read_statements(path)
 
     def test_int64_bounds(self, tmp_path):
-        (rec,) = read_records(raw_csv(tmp_path, full_row(incorporation_year="-9223372036854775808")))
+        (rec,) = read_rows(raw_csv(tmp_path, full_row(incorporation_year="-9223372036854775808")))
         assert rec.incorporation_year == -2**63
         with pytest.raises(ValueError, match="incorporation_year cell '9223372036854775808'"):
-            read_records(raw_csv(tmp_path, full_row(incorporation_year="9223372036854775808")))
+            read_statements(raw_csv(tmp_path, full_row(incorporation_year="9223372036854775808")))
 
     def test_extreme_years_give_the_exact_time_in_business(self, tmp_path):
         path = raw_csv(
@@ -442,4 +456,4 @@ class TestIntegerCells:
         path = raw_csv(tmp_path, full_row(), full_row(company_id="B", sales="abc"),
                        full_row(company_id="C", statement_year="2010.5", out_of_business="maybe"))
         with pytest.raises(ValueError, match=re.escape(f"{path} line 3: sales: could not convert")):
-            read_records(path)
+            read_statements(path)

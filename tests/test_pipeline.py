@@ -250,8 +250,7 @@ def forbid_upstream_reads(monkeypatch, allowed=()):
     def fail(*args, **kwargs):
         raise AssertionError("upstream artifact parsed")
 
-    for owner, name in ((px.pipeline, "read_records"), (px.pipeline, "read_statements"),
-                        (px.pipeline, "read_reference_grades"),
+    for owner, name in ((px.pipeline, "read_statements"), (px.pipeline, "read_reference_grades"),
                         (px.pipeline, "load_model"), (px.FeatureMatrix, "from_csv")):
         if name not in allowed:
             monkeypatch.setattr(owner, name, fail)

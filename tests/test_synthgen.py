@@ -2,16 +2,37 @@ import numpy as np
 import pytest
 
 import pdxplain as px
-from pdxplain.dataprep import write_records
 from pdxplain.synthgen import GRADE_FRACTIONS, MASKABLE_FIELDS
 
 from conftest import make_record
+from record_loops import to_statements
 
 
-def records_digest(records, tmp_path, name):
+def panel_bytes(config, tmp_path, name):
+    """data.csv bytes of the panel ``config`` generates."""
     path = tmp_path / name
-    write_records(path, records)
+    px.write_statements(path, px.generate_statements(config)[0])
     return path.read_bytes()
+
+
+def labeled_keys(st):
+    """(company_id, year) -> label of every labeled row of ``st``."""
+    rows, labels = px.label_statements(st)
+    keys = zip(st.values["company_id"][rows].tolist(), st.values["statement_year"][rows].tolist())
+    return dict(zip(keys, labels.tolist()))
+
+
+def default_rates(st):
+    rows, labels = px.label_statements(st)
+    return px.yearly_default_rates(st.values["statement_year"][rows], labels)
+
+
+def by_company(st, name):
+    """Company id -> the ``name`` cells of its rows, in row order."""
+    out = {}
+    for cid, value in zip(st.values["company_id"].tolist(), st.values[name].tolist()):
+        out.setdefault(cid, []).append(value)
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -22,7 +43,7 @@ def big_panel():
         n_companies=20000, year_range=(2004, 2018), imbalance_ratio=114.75,
         signal_strength=1.2, seed=101,
     )
-    return px.generate_with_oracle(cfg)
+    return px.generate_statements(cfg)
 
 
 class TestDeterminism:
@@ -31,8 +52,8 @@ class TestDeterminism:
             n_companies=400, year_range=(2005, 2014), imbalance_ratio=12.0,
             missing_rates={"sales": 0.1}, signal_strength=0.8, seed=7,
         )
-        a = records_digest(px.generate(cfg), tmp_path, "a.csv")
-        b = records_digest(px.generate(cfg), tmp_path, "b.csv")
+        a = panel_bytes(cfg, tmp_path, "a.csv")
+        b = panel_bytes(cfg, tmp_path, "b.csv")
         assert a == b
 
     def test_different_seed_differs(self, tmp_path):
@@ -40,8 +61,8 @@ class TestDeterminism:
             n_companies=400, year_range=(2005, 2014), imbalance_ratio=12.0,
             signal_strength=0.8,
         )
-        a = records_digest(px.generate(px.GeneratorConfig(seed=1, **base)), tmp_path, "a.csv")
-        b = records_digest(px.generate(px.GeneratorConfig(seed=2, **base)), tmp_path, "b.csv")
+        a = panel_bytes(px.GeneratorConfig(seed=1, **base), tmp_path, "a.csv")
+        b = panel_bytes(px.GeneratorConfig(seed=2, **base), tmp_path, "b.csv")
         assert a != b
 
 
@@ -51,9 +72,9 @@ class TestCalibration:
         assert 0.0069 <= oracle.realized_rate <= 0.0104  # 20% rel. of 1/115.75
 
     def test_realized_rate_matches_labeled_rows(self, big_panel):
-        records, oracle = big_panel
-        labeled = px.label_records(records)
-        rate = np.mean([label for _, label in labeled])
+        statements, oracle = big_panel
+        _, labels = px.label_statements(statements)
+        rate = np.mean(labels)
         assert rate == pytest.approx(oracle.realized_rate, abs=1e-12)
 
     def test_unreachable_target_names_range(self):
@@ -62,15 +83,15 @@ class TestCalibration:
             signal_strength=60.0, seed=5,
         )
         with pytest.raises(px.GenerationError, match="achievable range"):
-            px.generate(cfg)
+            px.generate_statements(cfg)
 
     def test_no_signal_means_no_discrimination(self):
         cfg = px.GeneratorConfig(
             n_companies=2500, year_range=(2004, 2018), imbalance_ratio=8.0,
             signal_strength=0.0, seed=11,
         )
-        records = px.generate(cfg)
-        prep = px.prepare(records, px.SplitSpec(seed=1))
+        statements, _ = px.generate_statements(cfg)
+        prep = px.prepare(statements, px.SplitSpec(seed=1))
         model = px.fit("lr", prep.split.train, {"epochs": 200})
         report = px.evaluate(
             prep.split.validation.y, px.predict_proba(model, prep.split.validation)
@@ -84,11 +105,8 @@ class TestCalibration:
                 n_companies=2500, year_range=(2004, 2018), imbalance_ratio=8.0,
                 signal_strength=strength, seed=13,
             )
-            records, oracle = px.generate_with_oracle(cfg)
-            labels = {
-                (rec.company_id, rec.statement_year): label
-                for rec, label in px.label_records(records)
-            }
+            statements, oracle = px.generate_statements(cfg)
+            labels = labeled_keys(statements)
             y = np.array([labels[k] for k in zip(oracle.company_ids, oracle.years)])
             aucs.append(px.roc_auc(y, oracle.propensity))
         assert aucs[0] <= aucs[1] <= aucs[2]
@@ -99,11 +117,8 @@ class TestPanelShape:
         cfg = px.GeneratorConfig(
             n_companies=300, year_range=(2004, 2012), imbalance_ratio=10.0, seed=3
         )
-        records = px.generate(cfg)
-        by_company = {}
-        for r in records:
-            by_company.setdefault(r.company_id, []).append(r.statement_year)
-        for years in by_company.values():
+        statements, _ = px.generate_statements(cfg)
+        for years in by_company(statements, "statement_year").values():
             assert years == list(range(min(years), max(years) + 1))
 
     def test_at_most_one_default_then_exit(self):
@@ -111,12 +126,10 @@ class TestPanelShape:
             n_companies=500, year_range=(2004, 2014), imbalance_ratio=5.0,
             signal_strength=1.0, seed=4,
         )
-        records = px.generate(cfg)
-        by_company = {}
-        for r in records:
-            by_company.setdefault(r.company_id, []).append(r)
-        for recs in by_company.values():
-            flags = [r.out_of_business for r in sorted(recs, key=lambda r: r.statement_year)]
+        statements, _ = px.generate_statements(cfg)
+        years = by_company(statements, "statement_year")
+        for cid, flags in by_company(statements, "out_of_business").items():
+            flags = [flag for _, flag in sorted(zip(years[cid], flags))]
             assert sum(flags) <= 1
             if any(flags):
                 assert flags[-1] is True  # default is the final statement
@@ -126,11 +139,11 @@ class TestPanelShape:
             n_companies=900, year_range=(2004, 2014), imbalance_ratio=10.0,
             missing_rates={"working_capital": 0.3, "sales": 0.0}, seed=6,
         )
-        records = px.generate(cfg)
-        frac = np.mean([r.working_capital is None for r in records])
+        statements, _ = px.generate_statements(cfg)
+        frac = statements.missing["working_capital"].mean()
         assert abs(frac - 0.3) < 0.04
-        assert all(r.sales is not None for r in records)
-        assert all(r.out_of_business is not None for r in records)
+        assert not statements.missing["sales"].any()
+        assert not statements.missing["out_of_business"].any()
 
     def test_invalid_configs_rejected(self):
         with pytest.raises(ValueError):
@@ -160,18 +173,18 @@ class TestDefaultRateReport:
         for i in range(1000):
             records.append(make_record(f"C{i}", 2010, out_of_business=False))
             records.append(make_record(f"C{i}", 2011, out_of_business=i < 15))
-        report = px.default_rate_report(records)
+        report = default_rates(to_statements(records))
         row_2010 = next(r for r in report if r["year"] == 2010)
         assert row_2010["count"] == 1000
         assert row_2010["defaults"] == 15
         assert row_2010["rate"] == pytest.approx(0.015)
 
     def test_empty_input(self):
-        assert px.default_rate_report([]) == []
+        assert default_rates(to_statements([])) == []
 
     def test_reference_imbalance_rates_stay_in_sanity_band(self, big_panel):
-        records, _ = big_panel
-        report = px.default_rate_report(records)
+        statements, _ = big_panel
+        report = default_rates(statements)
         busy = [r for r in report if r["count"] >= 1000]
         assert busy, "expected several high-volume years"
         in_band = [r for r in busy if 0.005 <= r["rate"] <= 0.02]
@@ -194,15 +207,14 @@ class TestReferenceGrades:
         cfg = px.GeneratorConfig(
             n_companies=300, year_range=(2004, 2012), imbalance_ratio=10.0, seed=9
         )
-        records, oracle = px.generate_with_oracle(cfg)
+        statements, oracle = px.generate_statements(cfg)
         graded = {(c, y) for c, y, _ in px.oracle_reference_grades(oracle)}
-        labeled = {(r.company_id, r.statement_year) for r, _ in px.label_records(records)}
-        assert graded == labeled
+        assert graded == set(labeled_keys(statements))
 
     def test_bad_fractions_rejected(self):
         cfg = px.GeneratorConfig(
             n_companies=200, year_range=(2004, 2010), imbalance_ratio=10.0, seed=2
         )
-        _, oracle = px.generate_with_oracle(cfg)
+        _, oracle = px.generate_statements(cfg)
         with pytest.raises(ValueError):
             px.oracle_reference_grades(oracle, fractions=(0.5, 0.5))
