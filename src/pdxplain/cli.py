@@ -14,10 +14,13 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-from .dataprep import DEFAULT_COUNTRIES, FeatureMatrix, read_statements
+from .dataprep import FeatureMatrix, read_statements
 from .metrics import evaluate
 from .models import MODEL_KINDS, load_model, predict_proba
 from .pipeline import (
+    STAGE_SEEDS,
+    AttributionSection,
+    ModelSection,
     RunConfig,
     StageError,
     _fmt_frac,
@@ -25,16 +28,15 @@ from .pipeline import (
     explain_stage,
     format_report,
     generate_stage,
-    generator_config,
     load_split,
     map_grades_stage,
+    parse_section,
     prepare_stage,
     read_json,
     read_reference_grades,
     resample_stage,
     run_pipeline,
     select_instances,
-    split_spec,
     train_stage,
 )
 from .shapley import AttributionReport
@@ -63,7 +65,7 @@ def _section(path, seed) -> dict:
 
 
 def _cmd_generate(args) -> int:
-    config = generator_config(_section(args.config, args.seed), 0)
+    config = parse_section("generator", _section(args.config, args.seed))
     summary = generate_stage(config, args.out, args.grades_out)
     print(
         f"wrote {summary['n_records']} statements to {args.out} "
@@ -74,14 +76,9 @@ def _cmd_generate(args) -> int:
 
 def _cmd_prepare(args) -> int:
     doc = _section(args.config, args.seed)
+    countries = doc.pop("countries", RunConfig.countries)
     meta_path = args.meta or str(Path(args.out).with_suffix(".meta.json"))
-    prep = prepare_stage(
-        read_statements(args.inp),
-        split_spec(doc, 0),
-        tuple(doc.get("countries", DEFAULT_COUNTRIES)),
-        args.out,
-        meta_path,
-    )
+    prep = prepare_stage(read_statements(args.inp), parse_section("split", doc), countries, args.out, meta_path)
     print(
         f"wrote {prep.features.n} feature rows to {args.out} "
         f"(train {prep.split.train.n} / test {prep.split.test.n} / "
@@ -92,7 +89,7 @@ def _cmd_prepare(args) -> int:
 
 def _cmd_resample(args) -> int:
     rows = _rows(args, "train" if args.meta else None)
-    config = SmoteConfig(k=args.k, target_ratio=args.ratio, seed=args.seed or 0)
+    config = SmoteConfig(k=args.k, target_ratio=args.ratio, seed=args.seed)
     audit_path = args.audit or str(Path(args.out).with_suffix(".audit.json"))
     result = resample_stage(rows, config, args.out, audit_path)
     print(
@@ -105,7 +102,7 @@ def _cmd_resample(args) -> int:
 def _cmd_train(args) -> int:
     params = read_json(args.params) if args.params else None
     rows = _rows(args, args.split)
-    train_stage(args.model, rows, params, args.seed or 0, args.out)
+    train_stage(args.model, rows, params, args.seed, args.out)
     print(f"trained {args.model} on {rows.n} rows -> {args.out}")
     return 0
 
@@ -125,7 +122,7 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_explain(args) -> int:
     splits = _splits(args, args.split)
-    rows = select_instances(splits, args.max_instances, args.seed or 0, args.split or "all")
+    rows = select_instances(splits, args.max_instances, args.seed, args.split or "all")
     background = FeatureMatrix.from_csv(args.background).X
     report = explain_stage(load_model(args.model), rows, background, args.group_countries, args.out)
     top = ", ".join(report.ranking[:3])
@@ -164,16 +161,12 @@ def _cmd_align(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    if args.config:
-        config = RunConfig.from_json(args.config)
-    else:
-        demo = resources.files("pdxplain.data").joinpath("demo_config.json")
-        config = RunConfig.from_dict(json.loads(demo.read_text()))
-    if args.seed is not None:
-        doc = config.to_dict()
-        doc["seed"] = args.seed
-        for section in ("generator", "split", "smote", "model", "attribution"):
-            doc[section].pop("seed", None)
+    demo = resources.files("pdxplain.data").joinpath("demo_config.json")
+    config = RunConfig.from_json(args.config) if args.config else RunConfig.from_dict(json.loads(demo.read_text()))
+    if args.seed is not None:  # every stage seed derives from the new global seed
+        doc = {**config.to_dict(), "seed": args.seed}
+        for section in STAGE_SEEDS:
+            del doc[section]["seed"]
         config = RunConfig.from_dict(doc)
     bundle = run_pipeline(config, args.out)
     print(f"report bundle written to {args.out} (digest {bundle['config_digest']})")
@@ -213,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("prepare", help="label, derive ratios, split, and scale")
     p.add_argument("--in", dest="inp", required=True, help="raw statement CSV")
-    p.add_argument("--config", help="split spec JSON")
+    p.add_argument("--config", help="JSON object of split section keys, plus an optional countries list")
     p.add_argument("--out", required=True, help="feature matrix CSV")
     p.add_argument("--meta", help="sidecar JSON path (default: <out>.meta.json)")
     p.add_argument("--seed", type=int)
@@ -222,9 +215,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("resample", help="SMOTE-oversample a training matrix")
     p.add_argument("--in", dest="inp", required=True, help="feature CSV (training rows)")
     p.add_argument("--meta", help="prepare sidecar; restricts to the train split")
-    p.add_argument("--k", type=int, default=10)
-    p.add_argument("--ratio", type=float, default=0.5)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--k", type=int, default=SmoteConfig.k)
+    p.add_argument("--ratio", type=float, default=SmoteConfig.target_ratio)
+    p.add_argument("--seed", type=int, default=SmoteConfig.seed)
     p.add_argument("--out", required=True)
     p.add_argument("--audit", help="parent-audit JSON path (default: <out>.audit.json)")
     p.set_defaults(func=_cmd_resample, stage="resample")
@@ -234,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", help="hyperparameter JSON")
     _row_args(p, "training feature CSV")
     p.add_argument("--out", required=True, help="model JSON")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=ModelSection.seed)
     p.set_defaults(func=_cmd_train, stage="train")
 
     p = sub.add_parser("evaluate", help="score a model on labeled rows")
@@ -251,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group-countries", action="store_true")
     p.add_argument("--max-instances", type=int)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=AttributionSection.seed)
     p.set_defaults(func=_cmd_explain, stage="explain")
 
     p = sub.add_parser("map-grades", help="map probabilities to rating grades")

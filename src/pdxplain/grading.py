@@ -2,11 +2,11 @@
 reference grade stream.
 
 Calibration computes the mean model probability per reference grade; the
-decision boundary between neighboring grades is the midpoint of their means,
-so assigning by nearest mean and assigning by interval lookup are the same
-rule. A probability exactly on a boundary resolves to the less risky grade.
+decision boundary between neighboring grades is the midpoint of their means.
 The published interval table can also be loaded directly, bypassing
-calibration.
+calibration. Either way a probability is graded by interval lookup on the
+bounds, and a probability exactly on a boundary resolves to the less risky
+grade.
 """
 
 from __future__ import annotations
@@ -60,11 +60,7 @@ class GradeCalibration:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GradeCalibration":
-        return cls(
-            upper_bounds=np.asarray(d["upper_bounds"], dtype=float),
-            mu=None if d.get("mu") is None else np.asarray(d["mu"], dtype=float),
-            counts=None if d.get("counts") is None else np.asarray(d["counts"], dtype=int),
-        )
+        return cls(d["upper_bounds"], d.get("mu"), d.get("counts"))
 
 
 def calibrate(reference_grades: Sequence[str], model_probs) -> GradeCalibration:
@@ -107,12 +103,12 @@ def load_fixed_intervals(path=None) -> GradeCalibration:
     else:
         with open(path) as fh:
             doc = json.load(fh)
-    return GradeCalibration(upper_bounds=np.asarray(doc["upper_bounds"], dtype=float))
+    return GradeCalibration(doc["upper_bounds"])
 
 
 def assign_grade(prob: float, calibration: GradeCalibration) -> str:
-    """Grade whose mean probability is nearest (boundary ties go to the less
-    risky grade); identical to half-open interval lookup on the bounds."""
+    """Grade whose interval holds ``prob`` (a boundary goes to the less
+    risky grade)."""
     return assign_grades([prob], calibration)[0]
 
 
@@ -120,12 +116,7 @@ def assign_grades(probs, calibration: GradeCalibration) -> list[str]:
     p = np.asarray(probs, dtype=float)
     if (p < 0).any() or (p > 1).any():
         raise ValueError("probabilities must lie in [0, 1]")
-    if calibration.mu is not None:
-        # argmin of |p - mu(R)|; np.argmin takes the first (least risky) min
-        idx = np.abs(p[:, None] - calibration.mu[None, :]).argmin(axis=1)
-    else:
-        idx = np.searchsorted(calibration.upper_bounds, p, side="left")
-        idx = np.minimum(idx, len(GRADES) - 1)
+    idx = np.minimum(np.searchsorted(calibration.upper_bounds, p, side="left"), len(GRADES) - 1)
     return [GRADES[i] for i in idx]
 
 

@@ -20,6 +20,10 @@ raw statements pass from the generator through ``data.csv`` into prepare as
 numpy columns (``dataprep.Statements``), and prepare labels them once for
 both the feature matrix and the sidecar's per-year default rates. The
 bundle is built from the stages' JSON files alone.
+
+A run config (``RunConfig``) is one dataclass per JSON section, whose
+fields are the section's keys and hold its defaults. A key that is not a
+field raises ValueError before any stage runs.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import hashlib
 import io
 import json
 import os
-from dataclasses import asdict, dataclass, is_dataclass
+from dataclasses import asdict, dataclass, fields
 from importlib import resources
 from pathlib import Path
 from typing import Optional
@@ -67,88 +71,105 @@ class StageError(RuntimeError):
         self.cause = cause
 
 
-def _derive_seed(global_seed: int, stage_index: int) -> int:
-    return int(np.random.SeedSequence([global_seed, stage_index]).generate_state(1)[0])
+@dataclass
+class ModelSection:
+    """The ``model`` section; ``params`` None takes the kind's defaults."""
+
+    kind: str = "gbt"
+    params: Optional[dict] = None
+    seed: int = 0
+
+    def __post_init__(self):
+        self.seed = int(self.seed)
 
 
-def generator_config(section: dict, seed: int) -> GeneratorConfig:
-    """Parse a ``generator`` config section; ``seed`` applies unless the
-    section sets its own."""
-    gen = dict(section)
-    gen["year_range"] = tuple(gen["year_range"])
-    gen["seed"] = int(gen.get("seed", seed))
-    return GeneratorConfig(**gen)
+@dataclass
+class AttributionSection:
+    """The ``attribution`` section: Shapley background rows drawn from the
+    train split, validation rows explained, and the seed that draws both."""
+
+    background_size: int = 100
+    n_instances: int = 25
+    group_countries: bool = True
+    seed: int = 0
+
+    def __post_init__(self):
+        self.background_size = int(self.background_size)
+        self.n_instances = int(self.n_instances)
+        self.group_countries = bool(self.group_countries)
+        self.seed = int(self.seed)
+        if not self.group_countries:
+            raise ValueError("attribution.group_countries must be true: align compares the "
+                             "attribution with survey features, which have no country_XX columns")
 
 
-def split_spec(section: dict, seed: int) -> SplitSpec:
-    """Parse a ``split`` config section; ``seed`` applies unless the section
-    sets its own."""
-    return SplitSpec(
-        train_years=tuple(section.get("train_years", (2004, 2012))),
-        validation_years=tuple(section.get("validation_years", (2013, 2018))),
-        test_fraction=float(section.get("test_fraction", 0.3)),
-        seed=int(section.get("seed", seed)),
-    )
+@dataclass
+class GradingSection:
+    """The ``grading`` section; see ``map_grades_stage`` for the modes."""
+
+    mode: str = "calibrate"
+    intervals_path: Optional[str] = None
+
+    def __post_init__(self):
+        if self.mode not in ("calibrate", "fixed"):
+            raise ValueError("grading.mode must be 'calibrate' or 'fixed'")
+
+
+# Run config section -> the dataclass it parses into.
+SECTIONS = {"generator": GeneratorConfig, "split": SplitSpec, "smote": SmoteConfig,
+            "model": ModelSection, "attribution": AttributionSection, "grading": GradingSection}
+# Section -> index of its stage seed, derived from the global seed unless the section sets one.
+STAGE_SEEDS = {"generator": 0, "split": 1, "smote": 2, "model": 3, "attribution": 4}
+
+
+def _check_keys(cls, where: str, doc) -> None:
+    """Raise ValueError unless ``doc`` is a JSON object of ``cls`` fields."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} must be a JSON object, not {type(doc).__name__}")
+    names = sorted(f.name for f in fields(cls))
+    unknown = sorted(set(doc) - set(names))
+    if unknown:
+        raise ValueError(f"{where} has unknown key {unknown[0]!r} (its keys: {', '.join(names)})")
+
+
+def parse_section(name: str, doc, run_seed: Optional[int] = None):
+    """Config section ``name`` as its ``SECTIONS`` dataclass. Given
+    ``run_seed``, a section with a stage seed that ``doc`` leaves out
+    derives it from ``run_seed``; otherwise the dataclass default applies."""
+    cls = SECTIONS[name]
+    _check_keys(cls, f"config section {name!r}", doc)
+    if run_seed is not None and name in STAGE_SEEDS and "seed" not in doc:
+        doc = {**doc, "seed": int(np.random.SeedSequence([run_seed, STAGE_SEEDS[name]]).generate_state(1)[0])}
+    try:
+        return cls(**doc)
+    except (TypeError, ValueError) as exc:  # a missing required key, an uncastable or invalid value
+        raise ValueError(f"config section {name!r}: {exc}") from exc
 
 
 @dataclass
 class RunConfig:
+    """A run config: one dataclass per section, fields named as their keys."""
+
     generator: GeneratorConfig
     split: SplitSpec
     smote: SmoteConfig
-    model_kind: str = "gbt"
-    model_params: Optional[dict] = None
-    model_seed: int = 0
-    background_size: int = 100
-    n_explain: int = 25
-    group_countries: bool = True
-    attribution_seed: int = 0
-    grading_mode: str = "calibrate"  # or "fixed"
-    fixed_intervals_path: Optional[str] = None
+    model: ModelSection
+    attribution: AttributionSection
+    grading: GradingSection
     survey_path: Optional[str] = None
     countries: tuple = DEFAULT_COUNTRIES
     seed: int = 0
 
     def __post_init__(self):
-        if self.grading_mode not in ("calibrate", "fixed"):
-            raise ValueError("grading_mode must be 'calibrate' or 'fixed'")
-        if not self.group_countries:
-            raise ValueError("attribution.group_countries must be true: align compares the "
-                             "attribution with survey features, which have no country_XX columns")
+        self.countries = tuple(self.countries)
+        self.seed = int(self.seed)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
-        seed = int(doc.get("seed", 0))
-
-        def stage_seed(section: dict, index: int) -> int:
-            return int(section.get("seed", _derive_seed(seed, index)))
-
-        smote_doc = dict(doc.get("smote", {}))
-        smote_cfg = SmoteConfig(
-            k=int(smote_doc.get("k", 10)),
-            target_ratio=float(smote_doc.get("target_ratio", 0.5)),
-            seed=stage_seed(smote_doc, 2),
-        )
-        model_doc = dict(doc.get("model", {}))
-        attr_doc = dict(doc.get("attribution", {}))
-        grading_doc = dict(doc.get("grading", {}))
-        return cls(
-            generator=generator_config(doc["generator"], _derive_seed(seed, 0)),
-            split=split_spec(doc.get("split", {}), _derive_seed(seed, 1)),
-            smote=smote_cfg,
-            model_kind=model_doc.get("kind", "gbt"),
-            model_params=model_doc.get("params"),
-            model_seed=stage_seed(model_doc, 3),
-            background_size=int(attr_doc.get("background_size", 100)),
-            n_explain=int(attr_doc.get("n_instances", 25)),
-            group_countries=bool(attr_doc.get("group_countries", True)),
-            attribution_seed=stage_seed(attr_doc, 4),
-            grading_mode=grading_doc.get("mode", "calibrate"),
-            fixed_intervals_path=grading_doc.get("intervals_path"),
-            survey_path=doc.get("survey_path"),
-            countries=tuple(doc.get("countries", DEFAULT_COUNTRIES)),
-            seed=seed,
-        )
+        """Parse a run config; a key that is not a field raises ValueError."""
+        _check_keys(cls, "run config", doc)
+        seed = int(doc.get("seed", cls.seed))
+        return cls(**{**doc, **{name: parse_section(name, doc.get(name, {}), seed) for name in SECTIONS}})
 
     @classmethod
     def from_json(cls, path) -> "RunConfig":
@@ -156,31 +177,7 @@ class RunConfig:
             return cls.from_dict(json.load(fh))
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "countries": list(self.countries),
-            "generator": asdict(self.generator),
-            "split": asdict(self.split),
-            "smote": asdict(self.smote),
-            "model": {
-                "kind": self.model_kind,
-                "params": asdict(self.model_params)
-                if is_dataclass(self.model_params)
-                else self.model_params,
-                "seed": self.model_seed,
-            },
-            "attribution": {
-                "background_size": self.background_size,
-                "n_instances": self.n_explain,
-                "group_countries": self.group_countries,
-                "seed": self.attribution_seed,
-            },
-            "grading": {
-                "mode": self.grading_mode,
-                "intervals_path": self.fixed_intervals_path,
-            },
-            "survey_path": self.survey_path,
-        }
+        return asdict(self)
 
     def digest(self) -> str:
         payload = json.dumps(self.to_dict(), sort_keys=True).encode()
@@ -201,20 +198,29 @@ class ReferenceGrades:
 
 
 def read_reference_grades(path) -> ReferenceGrades:
+    """Read a reference grade CSV. A row that is short, carries a
+    non-integer year or a grade outside ``grading.GRADES``, or repeats a key
+    raises ValueError naming the file line."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        fields = set(reader.fieldnames or [])
-        if not {"company_id", "grade"} <= fields:
+        columns = set(reader.fieldnames or [])
+        if not {"company_id", "grade"} <= columns:
             raise ValueError("reference grade CSV needs company_id and grade columns")
-        per_year = "statement_year" in fields
+        per_year = "statement_year" in columns
         entries: dict = {}
         for row in reader:
-            key = (
-                (row["company_id"], int(row["statement_year"]))
-                if per_year
-                else row["company_id"]
-            )
-            entries[key] = row["grade"].strip()
+            try:
+                if None in row.values():
+                    raise ValueError("row has fewer cells than the header")
+                key = (row["company_id"], int(row["statement_year"])) if per_year else row["company_id"]
+                grade = row["grade"].strip()
+                if grade not in grading_mod.GRADES:
+                    raise ValueError(f"unknown grade {grade!r}; expected one of {''.join(grading_mod.GRADES)}")
+                if key in entries:
+                    raise ValueError(f"repeated key {key!r}")
+            except ValueError as exc:
+                raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
+            entries[key] = grade
     return ReferenceGrades(entries, per_year)
 
 
@@ -411,12 +417,12 @@ def run_pipeline(config: RunConfig, out_dir) -> dict:
     def _train(d: Path):
         train_rs = FeatureMatrix.from_csv(rs_dir / "train_resampled.csv")
         for rows, name in ((splits()["train"], "model_wrs.json"), (train_rs, "model_rs.json")):
-            train_stage(config.model_kind, rows, config.model_params, config.model_seed, d / name)
+            train_stage(config.model.kind, rows, config.model.params, config.model.seed, d / name)
     train_dir = run_stage("train", doc["model"], [prep_dir, rs_dir], _train)
     model = functools.cache(lambda name: load_model(train_dir / name))
 
-    eval_dir = run_stage("evaluate", config.model_kind, [prep_dir, train_dir], lambda d: evaluate_stage(
-        config.model_kind,
+    eval_dir = run_stage("evaluate", config.model.kind, [prep_dir, train_dir], lambda d: evaluate_stage(
+        config.model.kind,
         [("WRS", model("model_wrs.json"), splits()["test"]),
          ("RS", model("model_rs.json"), splits()["test"]),
          ("RS+VS", model("model_rs.json"), splits()["validation"])],
@@ -425,18 +431,18 @@ def run_pipeline(config: RunConfig, out_dir) -> dict:
 
     explain_dir = run_stage("explain", doc["attribution"], [prep_dir, train_dir], lambda d: explain_stage(
         model("model_rs.json"),
-        select_instances(splits(), config.n_explain, config.attribution_seed),
-        sample_background(splits()["train"], config.background_size, config.attribution_seed),
-        config.group_countries,
+        select_instances(splits(), config.attribution.n_instances, config.attribution.seed),
+        sample_background(splits()["train"], config.attribution.background_size, config.attribution.seed),
+        config.attribution.group_countries,
         d / "attributions.json",
     ))
 
     grade_dir = run_stage(
-        "map-grades", config.grading_mode, [gen_dir, prep_dir, train_dir],
+        "map-grades", config.grading.mode, [gen_dir, prep_dir, train_dir],
         lambda d: map_grades_stage(
             model("model_rs.json"), read_reference_grades(gen_dir / "reference_grades.csv"), splits(),
-            "validation", config.grading_mode, config.fixed_intervals_path, d / "grading.json"),
-        inputs=[(config.fixed_intervals_path, "scorecard_intervals.json")] if config.grading_mode == "fixed" else [],
+            "validation", config.grading.mode, config.grading.intervals_path, d / "grading.json"),
+        inputs=[(config.grading.intervals_path, "scorecard_intervals.json")] if config.grading.mode == "fixed" else [],
     )
 
     align_dir = run_stage(

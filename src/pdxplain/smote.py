@@ -22,6 +22,9 @@ class SmoteConfig:
     seed: int = 0
 
     def __post_init__(self):
+        self.k = int(self.k)
+        self.target_ratio = float(self.target_ratio)
+        self.seed = int(self.seed)
         if self.k < 1:
             raise ValueError("k must be >= 1")
         if not 0.0 < self.target_ratio <= 1.0:

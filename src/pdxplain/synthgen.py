@@ -70,6 +70,8 @@ class GeneratorConfig:
     seed: int = 0
 
     def __post_init__(self):
+        self.year_range = tuple(self.year_range)
+        self.seed = int(self.seed)
         if self.n_companies < 1:
             raise ValueError("n_companies must be >= 1")
         y0, y1 = self.year_range

@@ -68,6 +68,13 @@ class TestPublishedIntervals:
         assert px.assign_grade(0.0828, cal) == "A"
         assert px.assign_grade(1.0, cal) == "F"
         assert px.assign_grade(0.0, cal) == "A"
+        calibrated = px.calibrate(list(GRADES), [0.1, 0.3, 0.4, 0.5, 0.6, 0.7])
+        assert calibrated.upper_bounds[0] == 0.2 and px.assign_grade(0.2, calibrated) == "A"
+        rng = np.random.default_rng(2)
+        for _ in range(20):
+            mu = random_monotone_mu(rng)
+            calibrated = px.calibrate(list(GRADES), mu)
+            assert px.assign_grades(calibrated.upper_bounds, calibrated) == list(GRADES)
 
 
 class TestAssign:

@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import json
+import runpy
 import shutil
 from pathlib import Path
 
@@ -9,9 +10,10 @@ import pytest
 
 import pdxplain as px
 from pdxplain.cli import main
-from pdxplain.pipeline import RunConfig, StageError, format_report, run_pipeline
+from pdxplain.pipeline import RunConfig, StageError, format_report, read_reference_grades, run_pipeline
 
 DATA = Path(px.__file__).parent / "data"
+ROOT = Path(__file__).resolve().parents[1]
 
 SMALL_DOC = {
     "seed": 21,
@@ -169,6 +171,73 @@ class TestRunPipeline:
         doc["smote"]["seed"] = 12345
         config = RunConfig.from_dict(doc)
         assert config.smote.seed == 12345
+
+
+class TestStrictConfig:
+    @pytest.mark.parametrize("section, key", [
+        ("generator", "n_company"),
+        ("split", "train_year"),
+        ("smote", "ratio"),
+        ("model", "param"),
+        ("attribution", "n_instance"),
+        ("grading", "interval_path"),
+        (None, "survey"),
+    ])
+    def test_unknown_key_rejected_before_any_stage(self, tmp_path, section, key):
+        doc = copy.deepcopy(SMALL_DOC)
+        (doc if section is None else doc[section])[key] = 5
+        with pytest.raises(ValueError, match=f"unknown key '{key}'"):
+            run_pipeline(RunConfig.from_dict(doc), tmp_path / "run")
+        assert not (tmp_path / "run").exists()
+
+    def test_section_must_be_an_object(self):
+        doc = copy.deepcopy(SMALL_DOC)
+        doc["model"] = None
+        with pytest.raises(ValueError, match="'model' must be a JSON object"):
+            RunConfig.from_dict(doc)
+
+    def test_missing_required_key_names_the_section(self):
+        doc = copy.deepcopy(SMALL_DOC)
+        del doc["generator"]["n_companies"]
+        with pytest.raises(ValueError, match="'generator'.*n_companies"):
+            RunConfig.from_dict(doc)
+
+    def test_sections_cast_their_values(self):
+        doc = copy.deepcopy(SMALL_DOC)
+        doc.update(seed="21", countries=["FR", "GB"])
+        doc["smote"].update(k=5.0, target_ratio=1)
+        doc["attribution"].update(n_instances="6", seed=3.0)
+        config = RunConfig.from_dict(doc)
+        assert config.generator.year_range == (2004, 2018) and config.split.train_years == (2004, 2012)
+        assert (config.seed, config.countries) == (21, ("FR", "GB"))
+        assert (config.smote.k, config.smote.target_ratio) == (5, 1.0)
+        assert type(config.smote.target_ratio) is float
+        assert (config.attribution.n_instances, config.attribution.seed) == (6, 3)
+        assert config.to_dict() == RunConfig.from_dict(config.to_dict()).to_dict()
+
+    def test_unknown_grading_mode_rejected(self):
+        doc = copy.deepcopy(SMALL_DOC)
+        doc["grading"] = {"mode": "nearest"}
+        with pytest.raises(ValueError, match="grading.mode"):
+            RunConfig.from_dict(doc)
+
+
+def held_in(doc, parsed) -> bool:
+    """Whether every key and value of ``doc`` appears in ``parsed``."""
+    if isinstance(doc, dict):
+        return isinstance(parsed, dict) and all(k in parsed and held_in(v, parsed[k]) for k, v in doc.items())
+    return doc == parsed
+
+
+def test_every_benchmark_config_parses_and_round_trips():
+    """The strict parser accepts every workload config the desk-run
+    benchmark generates, and drops none of its keys or values."""
+    workloads = runpy.run_path(str(ROOT / "deskbench" / "workloads.py"))  # writes no bytecode
+    for name in workloads["NAMES"]:
+        for smoke in (False, True):
+            doc = workloads["config_doc"](name, 2024, ROOT / "src", smoke=smoke)
+            parsed = json.loads(json.dumps(RunConfig.from_dict(doc).to_dict()))
+            assert held_in(doc, parsed), (name, smoke)
 
 
 def stage_markers(out) -> dict:
@@ -441,8 +510,8 @@ class TestCli:
              "--k", str(config.smote.k), "--ratio", str(config.smote.target_ratio),
              "--seed", str(config.smote.seed), "--out", f["train_resampled.csv"],
              "--audit", f["smote_audit.json"]],
-            ["train", "--model", config.model_kind, "--params", str(params),
-             "--in", f["train_resampled.csv"], "--seed", str(config.model_seed),
+            ["train", "--model", config.model.kind, "--params", str(params),
+             "--in", f["train_resampled.csv"], "--seed", str(config.model.seed),
              "--out", f["model_rs.json"]],
             ["map-grades", "--model", f["model_rs.json"], "--reference", f["reference_grades.csv"],
              "--in", f["features.csv"], "--meta", f["features.meta.json"],
@@ -528,8 +597,6 @@ class TestCli:
 
     def test_reference_grades_without_year_column(self, tmp_path):
         # company-wide grades (no statement_year column) apply to all years
-        from pdxplain.pipeline import read_reference_grades
-
         path = tmp_path / "ref.csv"
         path.write_text("company_id,grade\nC1,A\nC2,F\n")
         ref = read_reference_grades(path)
@@ -552,3 +619,39 @@ class TestCli:
         rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "b")])
         assert rc == 1
         assert "error [generate]:" in capsys.readouterr().err
+
+    def test_run_rejects_misspelled_key(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        doc = copy.deepcopy(SMALL_DOC)
+        doc["attribution"]["n_instance"] = 5
+        cfg.write_text(json.dumps(doc))
+        rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "b"), "--seed", "3"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error [run]:" in err and "'n_instance'" in err
+        assert not (tmp_path / "b").exists()
+
+    def test_prepare_config_checks_split_keys_and_takes_countries(self, small_run, tmp_path, capsys):
+        (data,) = (small_run["out"] / "stages").glob("*/data.csv")
+        cfg = tmp_path / "prep.json"
+        cfg.write_text(json.dumps({"test_fraction": 0.3, "countries": ["FR", "GB"]}))
+        meta = tmp_path / "f.meta.json"
+        assert main(["prepare", "--in", str(data), "--config", str(cfg), "--out", str(tmp_path / "f.csv")]) == 0
+        assert json.loads(meta.read_text())["countries"] == ["FR", "GB"]
+        cfg.write_text(json.dumps({"test_fration": 0.3, "countries": ["FR", "GB"]}))
+        capsys.readouterr()
+        assert main(["prepare", "--in", str(data), "--config", str(cfg), "--out", str(tmp_path / "g.csv")]) == 1
+        err = capsys.readouterr().err
+        assert "error [prepare]:" in err and "'test_fration'" in err
+
+    @pytest.mark.parametrize("rows, message", [
+        ("C1,2010,A\nC2,2010\n", "line 3: row has fewer cells than the header"),
+        ("C1,2010,A\nC2,20x0,B\n", "line 3: invalid literal for int"),
+        ("C1,2010,A\nC2,2010,B\nC1,2010,C\n", "line 4: repeated key \\('C1', 2010\\)"),
+        ("C1,2010,A\nC2,2010,Q\n", "line 3: unknown grade 'Q'"),
+    ], ids=["short_row", "non_integer_year", "repeated_key", "unknown_grade"])
+    def test_malformed_reference_grades_name_the_line(self, tmp_path, rows, message):
+        path = tmp_path / "ref.csv"
+        path.write_text("company_id,statement_year,grade\n" + rows)
+        with pytest.raises(ValueError, match=f"ref.csv {message}"):
+            read_reference_grades(path)
