@@ -1,7 +1,7 @@
 """Company default prediction on synthetic financial panels, with exact
 Shapley attributions, rating-grade mapping, and expert alignment scoring."""
 
-__version__ = "0.2.2"  # set before the submodule imports: pipeline reads it at import
+__version__ = "0.3.0"  # set before the submodule imports: pipeline reads it at import
 
 from .alignment import AlignmentReport, ExpertSurvey, align, aggregate_and_rank, load_survey
 from .dataprep import (
@@ -16,7 +16,6 @@ from .dataprep import (
     read_statements,
     split,
     statement_features,
-    write_statements,
     yearly_default_rates,
 )
 from .grading import (

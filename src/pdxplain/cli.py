@@ -3,6 +3,8 @@
 Subcommands call the pipeline's stage functions (generate, prepare,
 resample, train, explain, map-grades, align; evaluate scores one split) plus
 ``run`` for the whole pipeline and ``report`` for pretty-printing a bundle.
+They pass data through the pipeline's own stage files: statement and
+feature ``.npz`` files, JSON sidecars and models, and reference grade CSVs.
 Failures exit nonzero with a stage-tagged message on stderr.
 """
 
@@ -14,7 +16,7 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-from .dataprep import FeatureMatrix, read_statements
+from .dataprep import FeatureMatrix, Statements, read_statements
 from .metrics import evaluate
 from .models import MODEL_KINDS, load_model, predict_proba
 from .pipeline import (
@@ -78,7 +80,9 @@ def _cmd_prepare(args) -> int:
     doc = _section(args.config, args.seed)
     countries = doc.pop("countries", RunConfig.countries)
     meta_path = args.meta or str(Path(args.out).with_suffix(".meta.json"))
-    prep = prepare_stage(read_statements(args.inp), parse_section("split", doc), countries, args.out, meta_path)
+    # A raw statement CSV is the input edge; the generator writes .npz.
+    statements = Statements.load(args.inp) if Path(args.inp).suffix == ".npz" else read_statements(args.inp)
+    prep = prepare_stage(statements, parse_section("split", doc), countries, args.out, meta_path)
     print(
         f"wrote {prep.features.n} feature rows to {args.out} "
         f"(train {prep.split.train.n} / test {prep.split.test.n} / "
@@ -123,7 +127,7 @@ def _cmd_evaluate(args) -> int:
 def _cmd_explain(args) -> int:
     splits = _splits(args, args.split)
     rows = select_instances(splits, args.max_instances, args.seed, args.split or "all")
-    background = FeatureMatrix.from_csv(args.background).X
+    background = FeatureMatrix.load(args.background).X
     report = explain_stage(load_model(args.model), rows, background, args.group_countries, args.out)
     top = ", ".join(report.ranking[:3])
     print(f"explained {rows.n} rows -> {args.out} (top players: {top})")
@@ -184,7 +188,7 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _row_args(p, help_in=None) -> None:
+def _row_args(p, help_in="feature .npz") -> None:
     p.add_argument("--in", dest="inp", required=True, help=help_in)
     p.add_argument("--meta", help="prepare sidecar for --split")
     p.add_argument("--split", choices=("train", "test", "validation"))
@@ -199,33 +203,34 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="generate a synthetic statement panel")
     p.add_argument("--config", required=True, help="generator config JSON")
-    p.add_argument("--out", required=True, help="output raw statement CSV")
+    p.add_argument("--out", required=True, help="output statement .npz")
     p.add_argument("--grades-out", help="optional reference grade CSV")
     p.add_argument("--seed", type=int)
     p.set_defaults(func=_cmd_generate, stage="generate")
 
     p = sub.add_parser("prepare", help="label, derive ratios, split, and scale")
-    p.add_argument("--in", dest="inp", required=True, help="raw statement CSV")
+    p.add_argument("--in", dest="inp", required=True,
+                   help="statement .npz from generate, or a raw statement CSV (any other suffix)")
     p.add_argument("--config", help="JSON object of split section keys, plus an optional countries list")
-    p.add_argument("--out", required=True, help="feature matrix CSV")
+    p.add_argument("--out", required=True, help="output feature .npz")
     p.add_argument("--meta", help="sidecar JSON path (default: <out>.meta.json)")
     p.add_argument("--seed", type=int)
     p.set_defaults(func=_cmd_prepare, stage="prepare")
 
     p = sub.add_parser("resample", help="SMOTE-oversample a training matrix")
-    p.add_argument("--in", dest="inp", required=True, help="feature CSV (training rows)")
+    p.add_argument("--in", dest="inp", required=True, help="feature .npz (training rows)")
     p.add_argument("--meta", help="prepare sidecar; restricts to the train split")
     p.add_argument("--k", type=int, default=SmoteConfig.k)
     p.add_argument("--ratio", type=float, default=SmoteConfig.target_ratio)
     p.add_argument("--seed", type=int, default=SmoteConfig.seed)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, help="output feature .npz")
     p.add_argument("--audit", help="parent-audit JSON path (default: <out>.audit.json)")
     p.set_defaults(func=_cmd_resample, stage="resample")
 
     p = sub.add_parser("train", help="fit a model")
     p.add_argument("--model", required=True, choices=MODEL_KINDS)
     p.add_argument("--params", help="hyperparameter JSON")
-    _row_args(p, "training feature CSV")
+    _row_args(p, "training feature .npz")
     p.add_argument("--out", required=True, help="model JSON")
     p.add_argument("--seed", type=int, default=ModelSection.seed)
     p.set_defaults(func=_cmd_train, stage="train")
@@ -239,8 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("explain", help="exact Shapley attributions")
     p.add_argument("--model", required=True)
-    _row_args(p, "rows to explain")
-    p.add_argument("--background", required=True, help="background feature CSV")
+    _row_args(p, "feature .npz of the rows to explain")
+    p.add_argument("--background", required=True, help="feature .npz whose rows are the background")
     p.add_argument("--group-countries", action="store_true")
     p.add_argument("--max-instances", type=int)
     p.add_argument("--out", required=True)

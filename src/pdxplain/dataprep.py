@@ -6,16 +6,21 @@ whole columns: label consecutive-year statements (``label_statements``),
 derive the ratio features and rejection reasons and one-hot encode the
 country (``statement_features``), split by statement year, and standardize
 the continuous columns with train-only statistics; ``prepare`` runs them all.
-``read_statements`` and ``write_statements`` move the columns to and from
-CSV in blocks of rows. Statements have no per-row representation.
+Statements have no per-row representation.
+
+Between stages, ``Statements`` and ``FeatureMatrix`` travel as numpy ``.npz``
+files (``save``/``load``: one array per column, no pickles). The one text
+reader is ``read_statements``, which parses a raw statement CSV from outside
+the package in blocks of rows.
 """
 
 from __future__ import annotations
 
 import csv
 import operator
+import zipfile
 from dataclasses import dataclass, field
-from itertools import chain, islice, repeat
+from itertools import islice, repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -67,8 +72,42 @@ _FALSE_TOKENS = {"0", "false", "no", "n"}
 # Lowercased boolean cell -> 1 (true), 0 (false) or -1 (missing).
 _BOOL_CODES = {"": -1, **dict.fromkeys(_TRUE_TOKENS, 1), **dict.fromkeys(_FALSE_TOKENS, 0)}
 
-# Rows per block when statements are read from or written to CSV.
+# Rows per block when statements are read from CSV.
 BLOCK_ROWS = 1024
+
+
+def _save_npz(path, arrays: dict[str, np.ndarray]) -> None:
+    """Write ``arrays`` to ``path`` as an uncompressed .npz without pickles.
+    Writing through a handle keeps numpy from appending ``.npz`` to the path;
+    every zip member carries numpy's fixed 1980 timestamp, so equal arrays
+    give equal bytes."""
+    with open(path, "wb") as fh:
+        np.savez(fh, allow_pickle=False, **arrays)
+
+
+def _load_npz(path, kinds: dict[str, str], shapes) -> dict[str, np.ndarray]:
+    """The arrays named in ``kinds`` from the .npz at ``path``. Each must have
+    its numpy dtype kind, and together the shapes ``shapes(arrays)`` gives.
+    A file that is not an .npz, a missing array, a pickled (object) array, a
+    wrong kind or shape raises ValueError naming the file."""
+    try:
+        npz = np.load(path, allow_pickle=False)
+        if not isinstance(npz, np.lib.npyio.NpzFile):
+            raise ValueError("not an .npz archive")
+        with npz:
+            absent = [name for name in kinds if name not in npz.files]
+            if absent:
+                raise ValueError(f"no array {absent[0]!r}")
+            arrays = {name: npz[name] for name in kinds}
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    for name, kind in kinds.items():
+        if arrays[name].dtype.kind != kind:
+            raise ValueError(f"{path}: array {name!r} has dtype {arrays[name].dtype}, not of kind {kind!r}")
+    got, want = {name: a.shape for name, a in arrays.items()}, shapes(arrays)
+    if got != want:
+        raise ValueError(f"{path}: array shapes {got} do not agree; expected {want}")
+    return arrays
 
 
 @dataclass
@@ -88,6 +127,20 @@ class Statements:
     @property
     def n(self) -> int:
         return len(self.values["statement_year"])
+
+    def save(self, path) -> None:
+        """Write the columns to ``path`` as a .npz: per field ``f``, array
+        ``f`` holds its values and ``f_missing`` its mask."""
+        _save_npz(path, {**{name: self.values[name] for name in _KINDS},
+                         **{f"{name}_missing": self.missing[name] for name in _KINDS}})
+
+    @classmethod
+    def load(cls, path) -> "Statements":
+        """Read statements that ``save`` wrote; see ``_load_npz`` for the checks."""
+        kinds = {name: np.dtype(kind).kind for name, kind in _KINDS.items()}
+        a = _load_npz(path, {**kinds, **{f"{name}_missing": "b" for name in _KINDS}},
+                      lambda a: dict.fromkeys(a, (a["statement_year"].size,)))
+        return cls({name: a[name] for name in _KINDS}, {name: a[f"{name}_missing"] for name in _KINDS})
 
 
 @dataclass
@@ -177,78 +230,26 @@ class FeatureMatrix:
     def continuous_columns(self) -> list[str]:
         return [c for c in self.columns if c in CONTINUOUS_COLUMNS]
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            csv.writer(fh).writerow(["company_id", "statement_year", *self.columns, "label"])
-            for low in range(0, self.n, BLOCK_ROWS):
-                block = slice(low, low + BLOCK_ROWS)
-                columns = [
-                    self.company_ids[block],
-                    self.years[block].tolist(),
-                    *self.X[block].T.tolist(),  # csv writes str(float), the shortest repr
-                    self.y[block].tolist(),
-                ]
-                csv.writer(fh).writerows(zip(*columns))
+    def save(self, path) -> None:
+        """Write the matrix to ``path`` as a .npz of ``columns``, ``X`` (C
+        order), ``y``, ``company_ids`` and ``years``."""
+        _save_npz(path, {
+            "columns": np.array(self.columns, dtype=str),
+            "X": np.ascontiguousarray(self.X),
+            "y": self.y,
+            "company_ids": np.array(self.company_ids, dtype=str),
+            "years": self.years,
+        })
 
     @classmethod
-    def from_csv(cls, path) -> "FeatureMatrix":
-        """Read a feature CSV, BLOCK_ROWS rows at a time. Every row needs the
-        header's width; a bad row or cell raises ValueError naming its file
-        line."""
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise ValueError(f"feature CSV {path} is empty")
-            if header[:2] != ["company_id", "statement_year"] or header[-1] != "label":
-                raise ValueError(f"unexpected feature CSV header in {path}")
-            width, parts = len(header), []
-            while block := list(islice(reader, BLOCK_ROWS)):
-                try:
-                    parts.append(_parse_feature_block(block, width))
-                except ValueError:
-                    row, message = next(
-                        (i, m) for i, r in enumerate(block) if (m := _feature_row_error(r, width)))
-                    line = _line_of(path, BLOCK_ROWS * len(parts) + row, skip_blank=False)
-                    raise ValueError(f"{path} line {line}: {message}") from None
-        if not parts:
-            parts = [((), np.empty(0, np.int64), np.empty((0, width - 3)), np.empty(0, np.int64))]
-        ids, years, X, y = zip(*parts)
-        return cls(
-            columns=header[2:-1],
-            X=np.concatenate(X),
-            y=np.concatenate(y),
-            company_ids=[cid for part in ids for cid in part],
-            years=np.concatenate(years),
-        )
+    def load(cls, path) -> "FeatureMatrix":
+        """Read a matrix that ``save`` wrote; see ``_load_npz`` for the checks."""
+        def shapes(a):
+            n, d = a["years"].size, a["columns"].size
+            return {"columns": (d,), "X": (n, d), "y": (n,), "company_ids": (n,), "years": (n,)}
 
-
-def _parse_feature_block(rows: list[list[str]], width: int):
-    """(ids, years, X, labels) of a block of feature CSV rows; ValueError on
-    a row of another width or a cell that does not parse."""
-    if set(map(len, rows)) != {width}:
-        raise ValueError("row width")
-    n, columns = len(rows), list(zip(*rows))
-    X = np.fromiter(map(float, chain.from_iterable(columns[2:-1])), float, n * (width - 3))
-    return (
-        columns[0],
-        np.fromiter(map(int, columns[1]), np.int64, n),
-        X.reshape(width - 3, n).T.copy(),  # row-major, as np.asarray(rows) gave
-        np.fromiter(map(int, columns[-1]), np.int64, n),
-    )
-
-
-def _feature_row_error(row: list[str], width: int) -> Optional[str]:
-    """Why one feature CSV row does not parse, or None."""
-    if len(row) != width:
-        return f"{len(row)} cells, header has {width}"
-    try:
-        int(row[1])
-        [float(v) for v in row[2:-1]]
-        int(row[-1])
-    except ValueError as exc:
-        return str(exc)
-    return None
+        a = _load_npz(path, {"columns": "U", "X": "f", "y": "i", "company_ids": "U", "years": "i"}, shapes)
+        return cls(a["columns"].tolist(), a["X"], a["y"], a["company_ids"].tolist(), a["years"])
 
 
 @dataclass
@@ -591,13 +592,13 @@ def _parse_block(
     return Statements(values, missing), min(errors, default=None)
 
 
-def _line_of(path, row: int, skip_blank: bool = True) -> int:
+def _line_of(path, row: int) -> int:
     """The file line on which data row ``row`` (0-based, blank lines
-    skipped unless ``skip_blank`` is False) ends."""
+    skipped) ends."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         next(reader)
-        for _ in islice(filter(None, reader) if skip_blank else reader, row + 1):
+        for _ in islice(filter(None, reader), row + 1):
             pass
         return reader.line_num
 
@@ -633,30 +634,3 @@ def read_statements(path) -> Statements:
         {name: np.concatenate([p.values[name] for p in parts]) for name in _KINDS},
         {name: np.concatenate([p.missing[name] for p in parts]) for name in _KINDS},
     )
-
-
-def _format_column(name: str, values: np.ndarray, missing: np.ndarray) -> list[str]:
-    kind = _KINDS[name]
-    if kind is bool:
-        cells = np.where(values, "true", "false").tolist()
-    elif kind is float:
-        cells = list(map(repr, values.tolist()))
-    else:
-        cells = list(map(str, values.tolist()))
-    for i in np.flatnonzero(missing).tolist():
-        cells[i] = ""
-    return cells
-
-
-def write_statements(path, st: Statements) -> None:
-    """Write ``st`` as raw-statement CSV, BLOCK_ROWS rows at a time."""
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(_KINDS)
-        for low in range(0, st.n, BLOCK_ROWS):
-            block = slice(low, low + BLOCK_ROWS)
-            columns = [
-                _format_column(name, st.values[name][block], st.missing[name][block])
-                for name in _KINDS
-            ]
-            csv.writer(fh).writerows(zip(*columns))
-

@@ -13,13 +13,18 @@ kind reuses generate, prepare and resample, and editing the survey in place
 reruns only align. A stage that runs reads its inputs back from the
 artifacts its upstream stages (in this run or an earlier one) wrote, which
 keeps cached and fresh runs on the same data path and makes report bundles
-byte-identical across reruns. Each artifact is parsed only inside the stages
+byte-identical across reruns. Each artifact is read only inside the stages
 that consume it, so a cache hit reads nothing; the split matrix and the
-models, which several stages use, are parsed at most once per run. The
-raw statements pass from the generator through ``data.csv`` into prepare as
-numpy columns (``dataprep.Statements``), and prepare labels them once for
-both the feature matrix and the sidecar's per-year default rates. The
+models, which several stages use, are read at most once per run. The
 bundle is built from the stages' JSON files alone.
+
+Stages hand data to each other as numpy ``.npz`` columns, saved and loaded
+without pickles: the raw statements (``data.npz``, ``dataprep.Statements``),
+the prepared matrix (``features.npz``) and the resampled training rows
+(``train_resampled.npz``, both ``dataprep.FeatureMatrix``). Text remains
+where people and other tools meet the data: the JSON sidecars, summaries
+and models, the reference grades (``reference_grades.csv``, the analysts'
+format) and the report bundle.
 
 A run config (``RunConfig``) is one dataclass per JSON section, whose
 fields are the section's keys and hold its defaults. A key that is not a
@@ -44,16 +49,9 @@ import numpy as np
 from . import __version__
 from . import alignment as alignment_mod
 from . import grading as grading_mod
-from .dataprep import (
-    DEFAULT_COUNTRIES,
-    FeatureMatrix,
-    SplitSpec,
-    prepare,
-    read_statements,
-    write_statements,
-)
+from .dataprep import DEFAULT_COUNTRIES, FeatureMatrix, SplitSpec, Statements, prepare
 from .metrics import evaluate
-from .models import fit, load_model, predict_proba, save_model
+from .models import MODEL_KINDS, PARAM_CLASSES, fit, load_model, predict_proba, save_model
 from .shapley import (
     AttributionConfig,
     AttributionReport,
@@ -81,6 +79,11 @@ class ModelSection:
 
     def __post_init__(self):
         self.seed = int(self.seed)
+        if self.kind not in MODEL_KINDS:
+            raise ValueError(f"model.kind {self.kind!r} is not one of {', '.join(MODEL_KINDS)}")
+        if self.params is not None:  # unknown keys, then the kind's own checks of the values
+            _check_keys(PARAM_CLASSES[self.kind], f"model.params of {self.kind!r}", self.params)
+            PARAM_CLASSES[self.kind](**self.params)
 
 
 @dataclass
@@ -96,7 +99,8 @@ class AttributionSection:
     def __post_init__(self):
         self.background_size = int(self.background_size)
         self.n_instances = int(self.n_instances)
-        self.group_countries = bool(self.group_countries)
+        if not isinstance(self.group_countries, bool):
+            raise ValueError(f"attribution.group_countries must be true or false, not {self.group_countries!r}")
         self.seed = int(self.seed)
         if not self.group_countries:
             raise ValueError("attribution.group_countries must be true: align compares the "
@@ -132,6 +136,16 @@ def _check_keys(cls, where: str, doc) -> None:
         raise ValueError(f"{where} has unknown key {unknown[0]!r} (its keys: {', '.join(names)})")
 
 
+def _as_int(value, name: str) -> int:
+    """``value`` as an int; ValueError naming ``name`` unless it is a whole number."""
+    if not isinstance(value, (bool, float)) or isinstance(value, float) and value.is_integer():
+        try:
+            return int(value)
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(f"{name} must be an integer, not {value!r}")
+
+
 def parse_section(name: str, doc, run_seed: Optional[int] = None):
     """Config section ``name`` as its ``SECTIONS`` dataclass. Given
     ``run_seed``, a section with a stage seed that ``doc`` leaves out
@@ -162,13 +176,13 @@ class RunConfig:
 
     def __post_init__(self):
         self.countries = tuple(self.countries)
-        self.seed = int(self.seed)
+        self.seed = _as_int(self.seed, "seed")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
         """Parse a run config; a key that is not a field raises ValueError."""
         _check_keys(cls, "run config", doc)
-        seed = int(doc.get("seed", cls.seed))
+        seed = _as_int(doc.get("seed", cls.seed), "seed")
         return cls(**{**doc, **{name: parse_section(name, doc.get(name, {}), seed) for name in SECTIONS}})
 
     @classmethod
@@ -237,7 +251,7 @@ def read_json(path):
 def load_split(features_path, meta_path=None) -> dict:
     """The prepared matrix as ``all``; given the prepare sidecar, also the
     sidecar as ``meta`` and its ``train``/``test``/``validation`` slices."""
-    fm = FeatureMatrix.from_csv(features_path)
+    fm = FeatureMatrix.load(features_path)
     out = {"all": fm}
     if meta_path is not None:
         out["meta"] = meta = read_json(meta_path)
@@ -250,7 +264,7 @@ def generate_stage(config: GeneratorConfig, data_path, grades_path=None) -> dict
     """Write a synthetic panel to ``data_path`` and, given ``grades_path``,
     its oracle reference grades; return the generation summary."""
     statements, oracle = generate_statements(config)
-    write_statements(data_path, statements)
+    statements.save(data_path)
     if grades_path is not None:
         with open(grades_path, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -269,7 +283,7 @@ def prepare_stage(statements, spec: SplitSpec, countries, features_path, meta_pa
     write the feature matrix and its sidecar (scaler, split membership,
     rejection counts, per-year default rates of the labels)."""
     prep = prepare(statements, spec, countries)
-    prep.features.to_csv(features_path)
+    prep.features.save(features_path)
     write_json(meta_path, {
         "scaler": prep.scaler.to_dict(),
         "countries": list(prep.countries),
@@ -287,7 +301,7 @@ def prepare_stage(statements, spec: SplitSpec, countries, features_path, meta_pa
 def resample_stage(train: FeatureMatrix, config: SmoteConfig, data_path, audit_path):
     """SMOTE-oversample the training rows; write them and the parent audit."""
     result = resample(train, config)
-    result.data.to_csv(data_path)
+    result.data.save(data_path)
     write_json(audit_path, result.audit())
     return result
 
@@ -398,24 +412,24 @@ def run_pipeline(config: RunConfig, out_dir) -> dict:
 
     gen_dir = run_stage("generate", doc["generator"], [], lambda d: write_json(
         d / "generation.json",
-        generate_stage(config.generator, d / "data.csv", d / "reference_grades.csv"),
+        generate_stage(config.generator, d / "data.npz", d / "reference_grades.csv"),
     ))
 
     def _prepare(d: Path):
-        prep = prepare_stage(read_statements(gen_dir / "data.csv"), config.split, config.countries,
-                             d / "features.csv", d / "features.meta.json")
+        prep = prepare_stage(Statements.load(gen_dir / "data.npz"), config.split, config.countries,
+                             d / "features.npz", d / "features.meta.json")
         if not prep.split.validation.n:  # evaluate and map-grades score it
             low, high = config.split.validation_years
             raise ValueError(f"validation years {low}-{high} hold no rows")
     prep_dir = run_stage("prepare", {"split": doc["split"], "countries": doc["countries"]}, [gen_dir], _prepare)
-    splits = functools.cache(lambda: load_split(prep_dir / "features.csv", prep_dir / "features.meta.json"))
+    splits = functools.cache(lambda: load_split(prep_dir / "features.npz", prep_dir / "features.meta.json"))
 
     rs_dir = run_stage("resample", doc["smote"], [prep_dir], lambda d: resample_stage(
-        splits()["train"], config.smote, d / "train_resampled.csv", d / "smote_audit.json"
+        splits()["train"], config.smote, d / "train_resampled.npz", d / "smote_audit.json"
     ))
 
     def _train(d: Path):
-        train_rs = FeatureMatrix.from_csv(rs_dir / "train_resampled.csv")
+        train_rs = FeatureMatrix.load(rs_dir / "train_resampled.npz")
         for rows, name in ((splits()["train"], "model_wrs.json"), (train_rs, "model_rs.json")):
             train_stage(config.model.kind, rows, config.model.params, config.model.seed, d / name)
     train_dir = run_stage("train", doc["model"], [prep_dir, rs_dir], _train)

@@ -84,3 +84,42 @@ def small_panel():
     statements, oracle = px.generate_statements(cfg)
     prep = px.prepare(statements, px.SplitSpec(seed=3))
     return {"statements": statements, "oracle": oracle, "prep": prep}
+
+
+def npz_arrays(path) -> dict:
+    """Every array of the .npz at ``path``, by name, in file order."""
+    with np.load(path) as npz:
+        return {name: npz[name] for name in npz.files}
+
+
+def truncated(path):
+    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+
+
+def without_first_array(path):
+    arrays = npz_arrays(path)
+    del arrays[next(iter(arrays))]
+    np.savez(path, **arrays)
+
+
+def last_array_one_short(path):
+    arrays = npz_arrays(path)
+    last = list(arrays)[-1]
+    arrays[last] = arrays[last][:-1]
+    np.savez(path, **arrays)
+
+
+def first_array_pickled(path):
+    arrays = npz_arrays(path)
+    first = next(iter(arrays))
+    arrays[first] = arrays[first].astype(object)
+    np.savez(path, allow_pickle=True, **arrays)
+
+
+# How a stage file can be spoiled, and what the loader then says.
+SPOILERS = {
+    "truncated": (truncated, "File is not a zip file"),
+    "missing_array": (without_first_array, "no array"),
+    "unequal_lengths": (last_array_one_short, "do not agree"),
+    "pickled": (first_array_pickled, "Object arrays cannot be loaded"),
+}

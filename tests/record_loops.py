@@ -328,45 +328,6 @@ def write_records(path, records):
             )
 
 
-def features_to_csv(fm, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["company_id", "statement_year", *fm.columns, "label"])
-        for i in range(fm.n):
-            writer.writerow(
-                [fm.company_ids[i], int(fm.years[i])]
-                + [repr(float(v)) for v in fm.X[i]]
-                + [int(fm.y[i])]
-            )
-
-
-def features_from_csv(path):
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"feature CSV {path} is empty")
-        if header[:2] != ["company_id", "statement_year"] or header[-1] != "label":
-            raise ValueError(f"unexpected feature CSV header in {path}")
-        columns = header[2:-1]
-        ids, years, rows, labels = [], [], [], []
-        for row in reader:
-            if len(row) != len(header):
-                raise ValueError(f"{path} line {reader.line_num}: {len(row)} cells, "
-                                 f"header has {len(header)}")
-            ids.append(row[0])
-            years.append(int(row[1]))
-            rows.append([float(v) for v in row[2:-1]])
-            labels.append(int(row[-1]))
-    return FeatureMatrix(
-        columns=columns,
-        X=np.asarray(rows, dtype=float).reshape(len(rows), len(columns)),
-        y=np.asarray(labels, dtype=int),
-        company_ids=ids,
-        years=np.asarray(years, dtype=int),
-    )
-
-
 def fit_rf_repeated_rows(X, y, params: RFParams, columns, seed):
     n, d = X.shape
     frac = np.sqrt(d) / d

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 import pdxplain as px
-from pdxplain.dataprep import CONTINUOUS_COLUMNS, Rejection, read_statements, write_statements
+from pdxplain.dataprep import CONTINUOUS_COLUMNS, Rejection, read_statements
 
-from conftest import features_of, make_record
-from record_loops import RECORD_FIELDS, to_records, to_statements
+from conftest import SPOILERS, features_of, make_record, npz_arrays
+from record_loops import RECORD_FIELDS, to_records, to_statements, write_records
 
 
 def labels_of(records):
@@ -252,37 +252,118 @@ class TestCsvRoundTrip:
             make_record("B", 2011, out_of_business=True, sales=None, country_code=None),
         ]
         path = tmp_path / "raw.csv"
-        write_statements(path, to_statements(recs))
+        write_records(path, recs)
         assert read_rows(path) == recs
-
-    def test_feature_matrix_round_trip(self, tmp_path):
-        labeled = [(make_record(f"C{i}", 2010 + i % 3), i % 2) for i in range(7)]
-        fm, _ = features_of(labeled)
-        path = tmp_path / "features.csv"
-        fm.to_csv(path)
-        back = px.FeatureMatrix.from_csv(path)
-        assert back.columns == fm.columns
-        np.testing.assert_array_equal(back.X, fm.X)
-        np.testing.assert_array_equal(back.y, fm.y)
-        assert back.company_ids == fm.company_ids
-
-    def test_empty_feature_csv_rejected(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        path.write_text("")
-        with pytest.raises(ValueError, match=re.escape(f"{path} is empty")):
-            px.FeatureMatrix.from_csv(path)
-
-    def test_short_feature_row_rejected_with_line(self, tmp_path):
-        path = tmp_path / "short.csv"
-        path.write_text("company_id,statement_year,f0,f1,label\nA,2010,0.1,0.2,1\nB,2011,0.5,0\n")
-        with pytest.raises(ValueError, match=re.escape(f"{path} line 3: 4 cells, header has 5")):
-            px.FeatureMatrix.from_csv(path)
 
     def test_missing_column_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("company_id,statement_year\nA,2010\n")
         with pytest.raises(ValueError, match="missing columns"):
             read_statements(path)
+
+
+def small_matrix(n=7):
+    fm, _ = features_of([(make_record(f"C{i}", 2010 + i % 3), i % 2) for i in range(n)])
+    return fm
+
+
+# Each stage file type: (its class, a small instance of it).
+STAGE_FILES = {
+    "statements": (px.Statements, lambda: to_statements([make_record("A", 2010), make_record("B", 2011, sales=None)])),
+    "features": (px.FeatureMatrix, small_matrix),
+}
+
+
+class TestStageFiles:
+    def test_feature_matrix_round_trip(self, tmp_path):
+        fm = small_matrix()
+        path = tmp_path / "features.npz"
+        fm.save(path)
+        back = px.FeatureMatrix.load(path)
+        assert back.columns == fm.columns
+        np.testing.assert_array_equal(back.X, fm.X)
+        np.testing.assert_array_equal(back.y, fm.y)
+        np.testing.assert_array_equal(back.years, fm.years)
+        assert back.company_ids == fm.company_ids
+
+    @pytest.mark.parametrize("rows", [0, 1, 1500])
+    def test_sizes_round_trip(self, tmp_path, rows):
+        rng = np.random.default_rng(rows)
+        fm = px.FeatureMatrix(["f0", "f1"], rng.normal(size=(rows, 2)), rng.integers(0, 2, rows),
+                              [f"C{i}" for i in range(rows)], rng.integers(2004, 2019, rows))
+        fm.save(tmp_path / "f.npz")
+        back = px.FeatureMatrix.load(tmp_path / "f.npz")
+        assert back.X.shape == (rows, 2) and back.company_ids == fm.company_ids
+        np.testing.assert_array_equal(back.X, fm.X)
+
+    def test_fortran_ordered_matrix_loads_c_ordered(self, tmp_path):
+        fm = small_matrix()
+        fm.X = np.asfortranarray(fm.X)
+        fm.save(tmp_path / "f.npz")
+        back = px.FeatureMatrix.load(tmp_path / "f.npz")
+        assert back.X.flags.c_contiguous
+        np.testing.assert_array_equal(back.X, fm.X)
+
+    def test_header_only_statements_round_trip(self, tmp_path):
+        empty = read_statements(raw_csv(tmp_path))
+        empty.save(tmp_path / "data.npz")
+        back = px.Statements.load(tmp_path / "data.npz")
+        assert back.n == 0
+        assert {k: v.dtype for k, v in back.values.items()} == {k: v.dtype for k, v in empty.values.items()}
+
+    @pytest.mark.parametrize("kind", STAGE_FILES)
+    def test_the_given_path_is_the_path_written(self, tmp_path, kind):
+        cls, make = STAGE_FILES[kind]
+        path = tmp_path / "stage.bin"
+        make().save(path)
+        assert [p.name for p in tmp_path.iterdir()] == ["stage.bin"]
+        cls.load(path).save(tmp_path / "again.bin")
+        assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("kind", STAGE_FILES)
+    @pytest.mark.parametrize("spoil", SPOILERS)
+    def test_spoiled_file_raises_naming_it(self, tmp_path, kind, spoil):
+        cls, make = STAGE_FILES[kind]
+        spoiler, message = SPOILERS[spoil]
+        path = tmp_path / "stage.npz"
+        make().save(path)
+        spoiler(path)
+        with pytest.raises(ValueError, match=re.escape(str(path)) + ".*" + message):
+            cls.load(path)
+
+    @pytest.mark.parametrize("kind", STAGE_FILES)
+    def test_empty_or_text_file_raises_naming_it(self, tmp_path, kind):
+        cls, _ = STAGE_FILES[kind]
+        empty, text = tmp_path / "empty.npz", tmp_path / "features.csv"
+        empty.write_bytes(b"")
+        text.write_text("company_id,statement_year,f0,label\nA,2010,0.5,1\n")
+        for path in (empty, text):
+            with pytest.raises(ValueError, match=re.escape(f"{path}: ")):
+                cls.load(path)
+
+    def test_array_of_the_wrong_kind_raises(self, tmp_path):
+        path = tmp_path / "f.npz"
+        small_matrix().save(path)
+        arrays = npz_arrays(path)
+        arrays["years"] = arrays["years"].astype(float)
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: array 'years' has dtype float64")):
+            px.FeatureMatrix.load(path)
+
+    def test_matrix_width_must_match_the_columns(self, tmp_path):
+        path = tmp_path / "f.npz"
+        small_matrix().save(path)
+        arrays = npz_arrays(path)
+        arrays["columns"] = arrays["columns"][1:]
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError, match="do not agree"):
+            px.FeatureMatrix.load(path)
+
+    def test_single_npy_array_is_not_an_npz(self, tmp_path):
+        path = tmp_path / "x.npy"
+        np.save(path, np.arange(3))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: not an .npz archive")):
+            px.FeatureMatrix.load(path)
 
 
 class TestPrepare:
@@ -371,7 +452,7 @@ class TestReaderEdgeCases:
     def test_quoted_company_id_with_comma_round_trips(self, tmp_path):
         recs = [make_record('ACME, "Holdings" Ltd', 2010), make_record("Plain", 2011)]
         path = tmp_path / "raw.csv"
-        write_statements(path, to_statements(recs))
+        write_records(path, recs)
         assert '"ACME, ""Holdings"" Ltd"' in path.read_text()
         assert read_rows(path) == recs
 

@@ -1,8 +1,10 @@
 import copy
 import hashlib
 import json
+import re
 import runpy
 import shutil
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +13,9 @@ import pytest
 import pdxplain as px
 from pdxplain.cli import main
 from pdxplain.pipeline import RunConfig, StageError, format_report, read_reference_grades, run_pipeline
+
+from conftest import SPOILERS
+from record_loops import to_records, write_records
 
 DATA = Path(px.__file__).parent / "data"
 ROOT = Path(__file__).resolve().parents[1]
@@ -105,7 +110,7 @@ class TestRunPipeline:
         out = tmp_path / "partial"
         with pytest.raises(StageError, match="prepare"):
             run_pipeline(RunConfig.from_dict(doc), out)
-        produced = list(out.rglob("data.csv"))
+        produced = list(out.rglob("data.npz"))
         assert produced, "generate stage output should be retained"
 
     def test_empty_validation_window_fails_in_prepare(self, tmp_path):
@@ -221,6 +226,42 @@ class TestStrictConfig:
         with pytest.raises(ValueError, match="grading.mode"):
             RunConfig.from_dict(doc)
 
+    @pytest.mark.parametrize("model, message", [
+        ({"kind": "xgb"}, "model.kind 'xgb' is not one of lr, adaboost, rf, gbt"),
+        ({"kind": "gbt", "params": {"n_estimator": 3}}, "unknown key 'n_estimator'"),
+        ({"kind": "lr", "params": {"max_depth": 3}}, "unknown key 'max_depth'"),
+        ({"kind": "rf", "params": {"bootstrap_fraction": 2.0}}, "invalid random forest hyperparameters"),
+        ({"kind": "gbt", "params": []}, "must be a JSON object"),
+    ], ids=["kind", "gbt_key", "lr_key", "rf_value", "params_list"])
+    def test_bad_model_rejected_before_any_stage(self, tmp_path, model, message):
+        doc = copy.deepcopy(SMALL_DOC)
+        doc["model"] = model
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_pipeline(RunConfig.from_dict(doc), tmp_path / "run")
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("model, digest", [
+        (SMALL_DOC["model"], "74e0338312e5"),
+        ({"kind": "rf", "params": {"n_estimators": 3, "max_depth": 2, "bootstrap_fraction": 0.5}}, "5600dfa0281f"),
+    ])
+    def test_model_check_keeps_digests(self, model, digest):
+        assert RunConfig.from_dict({**SMALL_DOC, "model": model}).digest() == digest
+
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+    def test_group_countries_must_be_a_boolean(self, value):
+        doc = copy.deepcopy(SMALL_DOC)
+        doc["attribution"]["group_countries"] = value
+        with pytest.raises(ValueError, match="group_countries must be true or false"):
+            RunConfig.from_dict(doc)
+
+    @pytest.mark.parametrize("value", ["abc", 2.5, None, [1], True, "2.0"])
+    def test_non_integer_seed_names_the_key(self, value):
+        with pytest.raises(ValueError, match=re.escape(f"seed must be an integer, not {value!r}")):
+            RunConfig.from_dict({**SMALL_DOC, "seed": value})
+
+    def test_whole_number_seeds_are_accepted(self):
+        assert {RunConfig.from_dict({**SMALL_DOC, "seed": v}).seed for v in (21, "21", 21.0)} == {21}
+
 
 def held_in(doc, parsed) -> bool:
     """Whether every key and value of ``doc`` appears in ``parsed``."""
@@ -314,14 +355,22 @@ def copy_stages(small_run, dest) -> Path:
     return dest
 
 
+# Every reader of an upstream artifact: label -> (owner, attribute).
+UPSTREAM_READERS = {
+    "Statements.load": (px.Statements, "load"),
+    "FeatureMatrix.load": (px.FeatureMatrix, "load"),
+    "read_reference_grades": (px.pipeline, "read_reference_grades"),
+    "load_model": (px.pipeline, "load_model"),
+}
+
+
 def forbid_upstream_reads(monkeypatch, allowed=()):
-    """Make every upstream artifact parser raise, except ``allowed``."""
+    """Make every upstream artifact reader raise, except those ``allowed``."""
     def fail(*args, **kwargs):
         raise AssertionError("upstream artifact parsed")
 
-    for owner, name in ((px.pipeline, "read_statements"), (px.pipeline, "read_reference_grades"),
-                        (px.pipeline, "load_model"), (px.FeatureMatrix, "from_csv")):
-        if name not in allowed:
+    for label, (owner, name) in UPSTREAM_READERS.items():
+        if label not in allowed:
             monkeypatch.setattr(owner, name, fail)
 
 
@@ -356,14 +405,14 @@ class TestArtifactReads:
         config = RunConfig.from_dict(doc)
         run_pipeline(config, tmp_path / "fresh")
         out = copy_stages(small_run, tmp_path / "sweep")
-        forbid_upstream_reads(monkeypatch, allowed=("from_csv", "load_model", "read_reference_grades"))
+        forbid_upstream_reads(monkeypatch, allowed=("FeatureMatrix.load", "load_model", "read_reference_grades"))
         run_pipeline(config, out)
         assert bundle_bytes(out) == bundle_bytes(tmp_path / "fresh")
 
     def test_missing_resampled_rows_fail_in_train(self, small_run, tmp_path):
         out = tmp_path / "broken"
         shutil.copytree(small_run["out"], out)
-        (rs,) = out.glob("stages/resample_*/train_resampled.csv")
+        (rs,) = out.glob("stages/resample_*/train_resampled.npz")
         rs.unlink()
         doc = copy.deepcopy(SMALL_DOC)
         doc["model"] = {"kind": "lr"}
@@ -371,6 +420,38 @@ class TestArtifactReads:
             run_pipeline(RunConfig.from_dict(doc), out)
         assert info.value.stage == "train"
         assert bundle_bytes(out) == bundle_bytes(small_run["out"])
+
+    @pytest.mark.parametrize("spoil", SPOILERS)
+    @pytest.mark.parametrize("artifact, stage, edit", [
+        ("data.npz", "prepare", {"split": {**SMALL_DOC["split"], "test_fraction": 0.25}}),
+        ("features.npz", "train", {"model": {"kind": "lr"}}),
+        ("train_resampled.npz", "train", {"model": {"kind": "lr"}}),
+    ], ids=["data", "features", "train_resampled"])
+    def test_spoiled_stage_file_fails_in_the_stage_reading_it(self, small_run, tmp_path, spoil, artifact, stage,
+                                                              edit):
+        out = copy_stages(small_run, tmp_path / "spoiled")
+        (path,) = out.glob(f"stages/*/{artifact}")
+        SPOILERS[spoil][0](path)
+        with pytest.raises(StageError) as info:
+            run_pipeline(RunConfig.from_dict({**SMALL_DOC, **edit}), out)
+        assert info.value.stage == stage
+        assert isinstance(info.value.cause, ValueError) and str(info.value.cause).startswith(f"{path}: ")
+
+
+def test_stage_files_are_markers_json_npz_or_the_grade_csv(small_run):
+    """No stray text writer in the stage directories, and no wall-clock byte
+    in the hashed run directory: each .npz loads without pickles, and every
+    zip member carries numpy's fixed 1980 timestamp."""
+    files = [p for p in (small_run["out"] / "stages").rglob("*") if p.is_file()]
+    for p in files:
+        assert p.name in (".done", "reference_grades.csv") or p.suffix in (".json", ".npz"), p
+    npzs = sorted(p for p in files if p.suffix == ".npz")
+    assert sorted(p.name for p in npzs) == ["data.npz", "features.npz", "train_resampled.npz"]
+    for p in npzs:
+        with np.load(p, allow_pickle=False) as npz:
+            assert all(npz[name].dtype != object for name in npz.files)
+        with zipfile.ZipFile(p) as zf:
+            assert {info.date_time for info in zf.infolist()} == {(1980, 1, 1, 0, 0, 0)}, p
 
 
 class TestFormatReport:
@@ -448,11 +529,11 @@ class TestCli:
         params = tmp_path / "params.json"
         params.write_text(json.dumps({"n_estimators": 10, "max_depth": 3}))
 
-        data = tmp_path / "data.csv"
+        data = tmp_path / "data.npz"
         ref = tmp_path / "ref.csv"
-        features = tmp_path / "features.csv"
+        features = tmp_path / "features.npz"
         meta = tmp_path / "features.meta.json"
-        train_rs = tmp_path / "train_rs.csv"
+        train_rs = tmp_path / "train_rs.npz"
         model = tmp_path / "model.json"
         report = tmp_path / "eval.json"
         attr = tmp_path / "attr.json"
@@ -497,24 +578,24 @@ class TestCli:
         params = tmp_path / "params.json"
         params.write_text(json.dumps(SMALL_DOC["model"]["params"]))
         f = {name: str(tmp_path / name) for name in (
-            "data.csv", "reference_grades.csv", "features.csv", "features.meta.json",
-            "train_resampled.csv", "smote_audit.json", "model_rs.json", "grading.json",
+            "data.npz", "reference_grades.csv", "features.npz", "features.meta.json",
+            "train_resampled.npz", "smote_audit.json", "model_rs.json", "grading.json",
             "alignment.json",
         )}
         steps = [
             ["generate", "--config", str(gen_cfg), "--seed", str(config.generator.seed),
-             "--out", f["data.csv"], "--grades-out", f["reference_grades.csv"]],
-            ["prepare", "--in", f["data.csv"], "--config", str(split_cfg),
-             "--seed", str(config.split.seed), "--out", f["features.csv"]],
-            ["resample", "--in", f["features.csv"], "--meta", f["features.meta.json"],
+             "--out", f["data.npz"], "--grades-out", f["reference_grades.csv"]],
+            ["prepare", "--in", f["data.npz"], "--config", str(split_cfg),
+             "--seed", str(config.split.seed), "--out", f["features.npz"]],
+            ["resample", "--in", f["features.npz"], "--meta", f["features.meta.json"],
              "--k", str(config.smote.k), "--ratio", str(config.smote.target_ratio),
-             "--seed", str(config.smote.seed), "--out", f["train_resampled.csv"],
+             "--seed", str(config.smote.seed), "--out", f["train_resampled.npz"],
              "--audit", f["smote_audit.json"]],
             ["train", "--model", config.model.kind, "--params", str(params),
-             "--in", f["train_resampled.csv"], "--seed", str(config.model.seed),
+             "--in", f["train_resampled.npz"], "--seed", str(config.model.seed),
              "--out", f["model_rs.json"]],
             ["map-grades", "--model", f["model_rs.json"], "--reference", f["reference_grades.csv"],
-             "--in", f["features.csv"], "--meta", f["features.meta.json"],
+             "--in", f["features.npz"], "--meta", f["features.meta.json"],
              "--split", "validation", "--out", f["grading.json"]],
             ["align", "--attribution", str(pipeline_artifact("attributions.json")),
              "--out", f["alignment.json"]],
@@ -527,7 +608,7 @@ class TestCli:
 
     def test_calibrated_grading_needs_meta(self, small_run, tmp_path, capsys):
         stages = small_run["out"] / "stages"
-        (features,) = stages.glob("*/features.csv")
+        (features,) = stages.glob("*/features.npz")
         (model,) = stages.glob("*/model_rs.json")
         (ref,) = stages.glob("*/reference_grades.csv")
         rc = main(["map-grades", "--model", str(model), "--reference", str(ref),
@@ -540,8 +621,8 @@ class TestCli:
         from conftest import random_matrix
 
         fm = random_matrix(40, seed=0)
-        features = tmp_path / "f.csv"
-        fm.to_csv(features)
+        features = tmp_path / "f.npz"
+        fm.save(features)
         model_path = tmp_path / "m.json"
         px.save_model(px.fit("gbt", fm, {"n_estimators": 5, "max_depth": 2}), model_path)
         ref = tmp_path / "ref.csv"
@@ -576,12 +657,12 @@ class TestCli:
         text = capsys.readouterr().out
         assert "Performance" in text and "Expert alignment" in text
 
-    def test_train_on_empty_csv_names_the_file(self, tmp_path, capsys):
-        empty = tmp_path / "empty.csv"
+    def test_train_on_empty_file_names_the_file(self, tmp_path, capsys):
+        empty = tmp_path / "empty.npz"
         empty.write_text("")
         rc = main(["train", "--model", "lr", "--in", str(empty), "--out", str(tmp_path / "m.json")])
         assert rc == 1
-        assert f"error [train]: feature CSV {empty} is empty" in capsys.readouterr().err
+        assert f"error [train]: {empty}: " in capsys.readouterr().err
 
     def test_align_rejects_all_zero_attribution(self, tmp_path, capsys):
         from pdxplain.alignment import PLAYER_FEATURES
@@ -606,7 +687,7 @@ class TestCli:
 
     def test_failure_is_stage_tagged_and_nonzero(self, tmp_path, capsys):
         rc = main(["evaluate", "--model", str(tmp_path / "nope.json"),
-                   "--in", str(tmp_path / "nope.csv"), "--report", str(tmp_path / "r.json")])
+                   "--in", str(tmp_path / "nope.npz"), "--report", str(tmp_path / "r.json")])
         assert rc == 1
         assert "error [evaluate]:" in capsys.readouterr().err
 
@@ -632,17 +713,27 @@ class TestCli:
         assert not (tmp_path / "b").exists()
 
     def test_prepare_config_checks_split_keys_and_takes_countries(self, small_run, tmp_path, capsys):
-        (data,) = (small_run["out"] / "stages").glob("*/data.csv")
+        (data,) = (small_run["out"] / "stages").glob("*/data.npz")
         cfg = tmp_path / "prep.json"
         cfg.write_text(json.dumps({"test_fraction": 0.3, "countries": ["FR", "GB"]}))
         meta = tmp_path / "f.meta.json"
-        assert main(["prepare", "--in", str(data), "--config", str(cfg), "--out", str(tmp_path / "f.csv")]) == 0
+        assert main(["prepare", "--in", str(data), "--config", str(cfg), "--out", str(tmp_path / "f.npz")]) == 0
         assert json.loads(meta.read_text())["countries"] == ["FR", "GB"]
         cfg.write_text(json.dumps({"test_fration": 0.3, "countries": ["FR", "GB"]}))
         capsys.readouterr()
-        assert main(["prepare", "--in", str(data), "--config", str(cfg), "--out", str(tmp_path / "g.csv")]) == 1
+        assert main(["prepare", "--in", str(data), "--config", str(cfg), "--out", str(tmp_path / "g.npz")]) == 1
         err = capsys.readouterr().err
         assert "error [prepare]:" in err and "'test_fration'" in err
+
+    def test_prepare_reads_a_raw_statement_csv_as_the_npz(self, small_run, tmp_path, capsys):
+        (data,) = (small_run["out"] / "stages").glob("*/data.npz")
+        text = tmp_path / "data.csv"
+        write_records(text, to_records(px.Statements.load(data)))
+        for name, inp in (("from_npz", data), ("from_csv", text)):
+            assert main(["prepare", "--in", str(inp), "--seed", "5", "--out", str(tmp_path / f"{name}.npz")]) == 0
+        capsys.readouterr()
+        for suffix in (".npz", ".meta.json"):
+            assert (tmp_path / f"from_csv{suffix}").read_bytes() == (tmp_path / f"from_npz{suffix}").read_bytes()
 
     @pytest.mark.parametrize("rows, message", [
         ("C1,2010,A\nC2,2010\n", "line 3: row has fewer cells than the header"),

@@ -9,9 +9,9 @@ from record_loops import to_statements
 
 
 def panel_bytes(config, tmp_path, name):
-    """data.csv bytes of the panel ``config`` generates."""
+    """data.npz bytes of the panel ``config`` generates."""
     path = tmp_path / name
-    px.write_statements(path, px.generate_statements(config)[0])
+    px.generate_statements(config)[0].save(path)
     return path.read_bytes()
 
 
@@ -52,8 +52,8 @@ class TestDeterminism:
             n_companies=400, year_range=(2005, 2014), imbalance_ratio=12.0,
             missing_rates={"sales": 0.1}, signal_strength=0.8, seed=7,
         )
-        a = panel_bytes(cfg, tmp_path, "a.csv")
-        b = panel_bytes(cfg, tmp_path, "b.csv")
+        a = panel_bytes(cfg, tmp_path, "a.npz")
+        b = panel_bytes(cfg, tmp_path, "b.npz")
         assert a == b
 
     def test_different_seed_differs(self, tmp_path):
@@ -61,8 +61,8 @@ class TestDeterminism:
             n_companies=400, year_range=(2005, 2014), imbalance_ratio=12.0,
             signal_strength=0.8,
         )
-        a = panel_bytes(px.GeneratorConfig(seed=1, **base), tmp_path, "a.csv")
-        b = panel_bytes(px.GeneratorConfig(seed=2, **base), tmp_path, "b.csv")
+        a = panel_bytes(px.GeneratorConfig(seed=1, **base), tmp_path, "a.npz")
+        b = panel_bytes(px.GeneratorConfig(seed=2, **base), tmp_path, "b.npz")
         assert a != b
 
 
