@@ -152,6 +152,11 @@ def parse_section(name: str, doc, run_seed: Optional[int] = None):
     derives it from ``run_seed``; otherwise the dataclass default applies."""
     cls = SECTIONS[name]
     _check_keys(cls, f"config section {name!r}", doc)
+    for f in fields(cls):  # whole numbers only, so that 2.5 is refused rather than cast to 2
+        if f.name in doc and f.type in ("int", "tuple[int, int]"):
+            key, value = f"{name}.{f.name}", doc[f.name]
+            pair = f.type != "int" and isinstance(value, (list, tuple))
+            doc = {**doc, f.name: [_as_int(v, key) for v in value] if pair else _as_int(value, key)}
     if run_seed is not None and name in STAGE_SEEDS and "seed" not in doc:
         doc = {**doc, "seed": int(np.random.SeedSequence([run_seed, STAGE_SEEDS[name]]).generate_state(1)[0])}
     try:

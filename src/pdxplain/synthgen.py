@@ -162,6 +162,7 @@ class _Panel:
 
         self.score = self._score()
         self.default_uniforms = rng.random((n, T))
+        self.gather_window()
 
         self.masks = {
             name: rng.random((n, T)) < config.missing_rates[name]
@@ -190,20 +191,24 @@ class _Panel:
         effects = np.array([COUNTRY_EFFECT[c] for c in DEFAULT_COUNTRIES])
         return score + effects[self.country_idx][:, None]
 
-    def default_year(self, intercept: float) -> np.ndarray:
-        """First grid index where the default draw fires, -1 if never.
-
-        The draw for year t uses the score at t-1; only years strictly after
-        entry and up to the filing span are candidates.
-        """
-        s = self.config.signal_strength
-        p_next = np.zeros((self.n, self.T))
-        p_next[:, 1:] = _sigmoid(intercept + s * self.score[:, :-1])
+    def gather_window(self) -> None:
+        """Collect the draw window, company-major: years after entry up to the
+        last filing year, with their uniforms and signal_strength times the
+        score of the year before (the draw for year t reads the score at t-1)."""
         cols = np.arange(self.T)[None, :]
-        window = (cols > self.entry[:, None]) & (cols <= self.last[:, None])
-        hit = (self.default_uniforms < p_next) & window
-        any_hit = hit.any(axis=1)
-        return np.where(any_hit, hit.argmax(axis=1), -1)
+        self.win_c, self.win_t = np.nonzero((cols > self.entry[:, None]) & (cols <= self.last[:, None]))
+        self.win_u = self.default_uniforms[self.win_c, self.win_t]
+        self.win_s = self.config.signal_strength * self.score[self.win_c, self.win_t - 1]
+
+    def default_year(self, intercept: float) -> np.ndarray:
+        """First grid index where the default draw fires, -1 if never; the
+        draw runs on the window cells only."""
+        hit = self.win_u < _sigmoid(intercept + self.win_s)
+        c, t = self.win_c[hit], self.win_t[hit]
+        first = np.diff(c, prepend=-1) != 0  # cells run by company, then year
+        D = np.full(self.n, -1)
+        D[c[first]] = t[first]
+        return D
 
     def labeled_rate(self, intercept: float) -> float:
         """Fraction of labeled rows with label 1, under this intercept."""
@@ -252,7 +257,6 @@ def generate_statements(config: GeneratorConfig) -> tuple[Statements, SynthOracl
 
     D = panel.default_year(intercept)
     end = np.where(D >= 0, D, panel.last)
-    p_next = _sigmoid(intercept + config.signal_strength * panel.score)
 
     # The kept (company, year) cells: company i repeated over entry..end.
     spans = end - panel.entry + 1
@@ -291,7 +295,7 @@ def generate_statements(config: GeneratorConfig) -> tuple[Statements, SynthOracl
     oracle = SynthOracle(
         company_ids=ids[company[live]].tolist(),
         years=panel.years[t[live]],
-        propensity=p_next[company[live], t[live]],
+        propensity=_sigmoid(intercept + config.signal_strength * panel.score[company[live], t[live]]),
         intercept=float(intercept),
         realized_rate=realized,
         target_rate=target,

@@ -1,8 +1,9 @@
 """Record-at-a-time reference versions of the column code in ``dataprep`` and
 ``synthgen``: the loops the package used before its rules ran over whole
-columns. Also the random forest fit on bootstrap rows repeated, before it fit
-on bootstrap counts. Tests compare the package against them; nothing in
-``src/`` imports this module.
+columns. Also the default draw on the whole company x year grid, before it
+ran on the draw window's cells alone, and the random forest fit on bootstrap
+rows repeated, before it fit on bootstrap counts. Tests compare the package
+against them; nothing in ``src/`` imports this module.
 
 A raw statement here is a ``CompanyRecord``; ``to_statements`` and
 ``to_records`` convert between records and the package's ``Statements``
@@ -26,9 +27,10 @@ from pdxplain.dataprep import (
 )
 from pdxplain.models import RFParams, TreeEnsembleModel
 from pdxplain.synthgen import (
+    _BISECT_HI,
+    _BISECT_LO,
     GenerationError,
     SynthOracle,
-    _calibrate_intercept,
     _Panel,
     _sigmoid,
 )
@@ -233,15 +235,55 @@ def default_rate_report(records):
     return report
 
 
+def default_year(panel, intercept):
+    """First grid index where the default draw fires, -1 if never, drawn on
+    the whole company x year grid and masked to the window: years strictly
+    after entry and up to the last filing year. The draw for year t uses the
+    score at t-1."""
+    s = panel.config.signal_strength
+    p_next = np.zeros((panel.n, panel.T))
+    p_next[:, 1:] = _sigmoid(intercept + s * panel.score[:, :-1])
+    cols = np.arange(panel.T)[None, :]
+    window = (cols > panel.entry[:, None]) & (cols <= panel.last[:, None])
+    hit = (panel.default_uniforms < p_next) & window
+    any_hit = hit.any(axis=1)
+    return np.where(any_hit, hit.argmax(axis=1), -1)
+
+
+def labeled_rate(panel, intercept):
+    D = default_year(panel, intercept)
+    end = np.where(D >= 0, D, panel.last)
+    pairs = (end - panel.entry).sum()
+    return float((D >= 0).sum() / pairs)
+
+
+def calibrate_intercept(panel):
+    """The bisected intercept, and every intercept whose rate it measured
+    (the two bracket ends first)."""
+    target = panel.config.target_rate
+    lo, hi = _BISECT_LO, _BISECT_HI
+    visited = [lo, hi]
+    if not labeled_rate(panel, lo) <= target <= labeled_rate(panel, hi):
+        raise GenerationError("default-rate target unreachable")
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        visited.append(mid)
+        if labeled_rate(panel, mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    return hi, visited
+
+
 def generate_with_oracle(config):
     panel = _Panel(config)
-    intercept = _calibrate_intercept(panel)
-    realized = panel.labeled_rate(intercept)
+    intercept, _ = calibrate_intercept(panel)
+    realized = labeled_rate(panel, intercept)
     target = config.target_rate
     if abs(realized - target) > 0.2 * target:
         raise GenerationError("calibration outside 20% relative of the target")
 
-    D = panel.default_year(intercept)
+    D = default_year(panel, intercept)
     end = np.where(D >= 0, D, panel.last)
     p_next = _sigmoid(intercept + config.signal_strength * panel.score)
 

@@ -8,6 +8,7 @@ import pytest
 import pdxplain as px
 from pdxplain import dataprep
 from pdxplain.dataprep import REQUIRED_RATIO_FIELDS
+from pdxplain.synthgen import _calibrate_intercept, _Panel
 
 import record_loops as ref
 from conftest import features_of, make_record
@@ -123,6 +124,58 @@ class TestGeneratedPanels:
             back = px.FeatureMatrix.load(tmp_path / name)
             assert_same_matrix(back, fm)
             assert back.X.flags.c_contiguous
+
+
+def draw_panel(n_companies, imbalance, seed):
+    return _Panel(px.GeneratorConfig(n_companies=n_companies, year_range=(2004, 2018),
+                                     imbalance_ratio=imbalance, seed=seed))
+
+
+def assert_same_draw(panel, intercept):
+    np.testing.assert_array_equal(panel.default_year(intercept), ref.default_year(panel, intercept))
+    assert panel.labeled_rate(intercept) == ref.labeled_rate(panel, intercept)
+
+
+class TestDefaultDraw:
+    """The draw on the window cells against the full-grid draw: the same
+    default years at every intercept the bisection visits, so the same
+    calibrated intercept (pinned bit for bit)."""
+
+    @pytest.mark.parametrize("n_companies, imbalance, seed, pinned", [
+        (8000, 114.75, 2024, "-0x1.6d86dbc1b96d0p+2"),
+        (8000, 114.75, 7, "-0x1.6cb19d476426ap+2"),
+        (8000, 114.75, 99, "-0x1.7a69a06415846p+2"),
+        (3000, 12.0, 2024, "-0x1.91017adb8f5f9p+1"),
+        (3000, 12.0, 7, "-0x1.998ce6dfb313ap+1"),
+        (3000, 12.0, 99, "-0x1.a21f8c68a7ff7p+1"),
+    ])
+    def test_every_visited_intercept_matches_the_full_grid(self, n_companies, imbalance, seed, pinned):
+        panel = draw_panel(n_companies, imbalance, seed)
+        intercept, visited = ref.calibrate_intercept(panel)
+        assert len(visited) == 82
+        for b in visited:
+            assert_same_draw(panel, b)
+        assert intercept.hex() == _calibrate_intercept(panel).hex() == pinned
+
+    @pytest.mark.parametrize("intercept", [-500.0, 500.0, -3.0], ids=["none_fire", "all_fire_first", "mixed"])
+    def test_single_statement_companies_never_default(self, intercept):
+        panel = draw_panel(600, 12.0, 5)
+        single = np.arange(panel.n) % 3 == 0
+        panel.last[single] = panel.entry[single]  # entry == last: an empty draw window
+        panel.gather_window()
+        assert not np.isin(panel.win_c, np.flatnonzero(single)).any()
+        assert_same_draw(panel, intercept)
+        assert (panel.default_year(intercept)[single] == -1).all()
+
+    def test_no_cell_fires(self):
+        panel = draw_panel(600, 12.0, 5)
+        assert (panel.default_year(-500.0) == -1).all()
+        assert panel.labeled_rate(-500.0) == ref.labeled_rate(panel, -500.0) == 0.0
+
+    def test_every_company_defaults_in_its_first_window_year(self):
+        panel = draw_panel(600, 12.0, 5)
+        np.testing.assert_array_equal(panel.default_year(500.0), panel.entry + 1)
+        assert panel.labeled_rate(500.0) == ref.labeled_rate(panel, 500.0) == 1.0
 
 
 class TestQuotedText:

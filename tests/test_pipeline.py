@@ -262,6 +262,41 @@ class TestStrictConfig:
     def test_whole_number_seeds_are_accepted(self):
         assert {RunConfig.from_dict({**SMALL_DOC, "seed": v}).seed for v in (21, "21", 21.0)} == {21}
 
+    @pytest.mark.parametrize("section, key, value, bad", [
+        ("generator", "seed", 2.5, 2.5),
+        ("generator", "n_companies", 900.5, 900.5),
+        ("generator", "year_range", [2004, 2018.5], 2018.5),
+        ("split", "seed", 1.5, 1.5),
+        ("split", "train_years", [2004.5, 2012], 2004.5),
+        ("smote", "k", 5.7, 5.7),
+        ("smote", "seed", True, True),
+        ("model", "seed", "3.5", "3.5"),
+        ("attribution", "background_size", 40.1, 40.1),
+        ("attribution", "n_instances", 25.9, 25.9),
+        ("attribution", "seed", 2.5, 2.5),
+    ])
+    def test_section_integers_must_be_whole_numbers(self, tmp_path, section, key, value, bad):
+        doc = copy.deepcopy(SMALL_DOC)
+        doc[section][key] = value
+        with pytest.raises(ValueError, match=re.escape(f"{section}.{key} must be an integer, not {bad!r}")):
+            run_pipeline(RunConfig.from_dict(doc), tmp_path / "run")
+        assert not (tmp_path / "run").exists()
+
+    def test_whole_number_section_integers_keep_the_digest(self):
+        doc = copy.deepcopy(SMALL_DOC)
+        doc["generator"].update(seed=11, n_companies=900.0, year_range=[2004.0, 2018])
+        doc["split"].update(seed=12.0, train_years=[2004, 2012.0])
+        doc["smote"].update(k=5.0, seed="13")
+        doc["model"]["seed"] = 14.0
+        doc["attribution"].update(background_size=40.0, n_instances=6.0, seed=15.0)
+        whole = copy.deepcopy(SMALL_DOC)
+        whole["generator"]["seed"], whole["split"]["seed"], whole["smote"]["seed"] = 11, 12, 13
+        whole["model"]["seed"], whole["attribution"]["seed"] = 14, 15
+        config = RunConfig.from_dict(doc)
+        assert config.to_dict() == RunConfig.from_dict(whole).to_dict()
+        assert config.digest() == RunConfig.from_dict(whole).digest()
+        assert type(config.generator.n_companies) is int and type(config.split.train_years[1]) is int
+
 
 def held_in(doc, parsed) -> bool:
     """Whether every key and value of ``doc`` appears in ``parsed``."""
