@@ -138,10 +138,11 @@ def _cmd_map_grades(args) -> int:
     if not (args.fixed_intervals or args.meta):
         raise ValueError("calibration fits on the test split and needs --meta "
                          "(or pass --fixed-intervals)")
+    model, splits = load_model(args.model), _splits(args, args.split)
     confusion = map_grades_stage(
-        load_model(args.model),
+        lambda split: predict_proba(model, splits[split]),
         read_reference_grades(args.reference),
-        _splits(args, args.split),
+        splits,
         args.split or "all",
         "fixed" if args.fixed_intervals else "calibrate",
         args.fixed_intervals,

@@ -152,6 +152,16 @@ class Rejection:
     reason: str
 
 
+def _as_int(value, name: str) -> int:
+    """``value`` as an int; ValueError naming ``name`` unless it is a whole number."""
+    if not isinstance(value, (bool, float)) or isinstance(value, float) and value.is_integer():
+        try:
+            return int(value)
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(f"{name} must be an integer, not {value!r}")
+
+
 @dataclass
 class SplitSpec:
     """Year-based split: train/test share the train years, validation years

@@ -217,13 +217,14 @@ def fit(kind: str, train: FeatureMatrix, params=None, seed: int = 0) -> Model:
 def lr_gradient(weights, bias, X, y, l2):
     """Analytic gradient of the L2-regularized logistic loss (bias excluded
     from the penalty)."""
-    p = sigmoid(X @ weights + bias)
-    gw = X.T @ (p - y) / X.shape[0] + l2 * weights
-    gb = float(np.mean(p - y))
+    r = sigmoid(X @ weights + bias) - y
+    gw = X.T @ r / X.shape[0] + l2 * weights
+    gb = float(np.mean(r))
     return gw, gb
 
 
 def _fit_lr(X, y, params: LRParams, columns, seed):
+    y = y.astype(float)  # once, not in every epoch's residual
     w = np.zeros(X.shape[1])
     b = 0.0
     with np.errstate(over="ignore"):  # divergence is caught, not warned

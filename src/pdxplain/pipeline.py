@@ -49,7 +49,7 @@ import numpy as np
 from . import __version__
 from . import alignment as alignment_mod
 from . import grading as grading_mod
-from .dataprep import DEFAULT_COUNTRIES, FeatureMatrix, SplitSpec, Statements, prepare
+from .dataprep import DEFAULT_COUNTRIES, FeatureMatrix, SplitSpec, Statements, _as_int, prepare
 from .metrics import evaluate
 from .models import MODEL_KINDS, PARAM_CLASSES, fit, load_model, predict_proba, save_model
 from .shapley import (
@@ -81,9 +81,12 @@ class ModelSection:
         self.seed = int(self.seed)
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"model.kind {self.kind!r} is not one of {', '.join(MODEL_KINDS)}")
-        if self.params is not None:  # unknown keys, then the kind's own checks of the values
-            _check_keys(PARAM_CLASSES[self.kind], f"model.params of {self.kind!r}", self.params)
-            PARAM_CLASSES[self.kind](**self.params)
+        if self.params is not None:  # unknown keys, whole integers, then the kind's own checks
+            cls = PARAM_CLASSES[self.kind]
+            _check_keys(cls, f"model.params of {self.kind!r}", self.params)
+            ints = {f.name for f in fields(cls) if f.type == "int"}
+            self.params = {k: _as_int(v, f"model.params.{k}") if k in ints else v for k, v in self.params.items()}
+            cls(**self.params)
 
 
 @dataclass
@@ -134,16 +137,6 @@ def _check_keys(cls, where: str, doc) -> None:
     unknown = sorted(set(doc) - set(names))
     if unknown:
         raise ValueError(f"{where} has unknown key {unknown[0]!r} (its keys: {', '.join(names)})")
-
-
-def _as_int(value, name: str) -> int:
-    """``value`` as an int; ValueError naming ``name`` unless it is a whole number."""
-    if not isinstance(value, (bool, float)) or isinstance(value, float) and value.is_integer():
-        try:
-            return int(value)
-        except (TypeError, ValueError):
-            pass
-    raise ValueError(f"{name} must be an integer, not {value!r}")
 
 
 def parse_section(name: str, doc, run_seed: Optional[int] = None):
@@ -316,11 +309,8 @@ def train_stage(kind: str, rows: FeatureMatrix, params, seed: int, model_path) -
 
 
 def evaluate_stage(kind: str, rows, path) -> None:
-    """Write the performance table of ``(label, model, data)`` rows."""
-    table = [
-        {"row": label, "model": kind, **evaluate(data.y, predict_proba(model, data)).to_dict()}
-        for label, model, data in rows
-    ]
+    """Write the performance table of ``(label, labels, probabilities)`` rows."""
+    table = [{"row": label, "model": kind, **evaluate(y, probs).to_dict()} for label, y, probs in rows]
     write_json(path, {"rows": table})
 
 
@@ -347,9 +337,8 @@ def explain_stage(model, instances: FeatureMatrix, background: np.ndarray, group
     return report
 
 
-def _paired_grades(model, data: FeatureMatrix, reference: ReferenceGrades):
-    """(reference grades, model probabilities) of the rows that have one."""
-    probs = predict_proba(model, data)
+def _paired_grades(probs: np.ndarray, data: FeatureMatrix, reference: ReferenceGrades):
+    """(reference grades, probabilities ``probs``) of the rows of ``data`` that have one."""
     grades, kept = [], []
     for i in range(data.n):
         grade = reference.get(data.company_ids[i], data.years[i])
@@ -361,17 +350,17 @@ def _paired_grades(model, data: FeatureMatrix, reference: ReferenceGrades):
     return grades, probs[np.asarray(kept, dtype=int)]
 
 
-def map_grades_stage(model, reference: ReferenceGrades, splits: dict, score: str,
+def map_grades_stage(proba, reference: ReferenceGrades, splits: dict, score: str,
                      mode: str, intervals_path, path) -> grading_mod.GradeConfusion:
-    """Map the probabilities of ``splits[score]`` to grades and compare them
-    with the reference grades. ``calibrate`` fits the grade bounds on the
-    test split; ``fixed`` reads the interval table at ``intervals_path``
-    (the bundled table when None)."""
+    """Map the model's probabilities of ``splits[score]``, ``proba(score)``,
+    to grades and compare them with the reference grades. ``calibrate``
+    fits the grade bounds on the test split; ``fixed`` reads the interval
+    table at ``intervals_path`` (the bundled table when None)."""
     if mode == "fixed":
         cal = grading_mod.load_fixed_intervals(intervals_path)
     else:
-        cal = grading_mod.calibrate(*_paired_grades(model, splits["test"], reference))
-    grades, probs = _paired_grades(model, splits[score], reference)
+        cal = grading_mod.calibrate(*_paired_grades(proba("test"), splits["test"], reference))
+    grades, probs = _paired_grades(proba(score), splits[score], reference)
     confusion = grading_mod.grade_confusion(grades, grading_mod.assign_grades(probs, cal))
     write_json(path, {"mode": mode, "calibration": cal.to_dict(), "confusion": confusion.to_dict()})
     return confusion
@@ -439,12 +428,14 @@ def run_pipeline(config: RunConfig, out_dir) -> dict:
             train_stage(config.model.kind, rows, config.model.params, config.model.seed, d / name)
     train_dir = run_stage("train", doc["model"], [prep_dir, rs_dir], _train)
     model = functools.cache(lambda name: load_model(train_dir / name))
+    # Evaluate and map-grades score the same splits: predict each (model, split) once.
+    proba = functools.cache(lambda name, split: predict_proba(model(name), splits()[split]))
 
     eval_dir = run_stage("evaluate", config.model.kind, [prep_dir, train_dir], lambda d: evaluate_stage(
         config.model.kind,
-        [("WRS", model("model_wrs.json"), splits()["test"]),
-         ("RS", model("model_rs.json"), splits()["test"]),
-         ("RS+VS", model("model_rs.json"), splits()["validation"])],
+        [("WRS", splits()["test"].y, proba("model_wrs.json", "test")),
+         ("RS", splits()["test"].y, proba("model_rs.json", "test")),
+         ("RS+VS", splits()["validation"].y, proba("model_rs.json", "validation"))],
         d / "performance.json",
     ))
 
@@ -459,8 +450,8 @@ def run_pipeline(config: RunConfig, out_dir) -> dict:
     grade_dir = run_stage(
         "map-grades", config.grading.mode, [gen_dir, prep_dir, train_dir],
         lambda d: map_grades_stage(
-            model("model_rs.json"), read_reference_grades(gen_dir / "reference_grades.csv"), splits(),
-            "validation", config.grading.mode, config.grading.intervals_path, d / "grading.json"),
+            functools.partial(proba, "model_rs.json"), read_reference_grades(gen_dir / "reference_grades.csv"),
+            splits(), "validation", config.grading.mode, config.grading.intervals_path, d / "grading.json"),
         inputs=[(config.grading.intervals_path, "scorecard_intervals.json")] if config.grading.mode == "fixed" else [],
     )
 

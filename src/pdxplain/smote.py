@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataprep import FeatureMatrix
+from .dataprep import FeatureMatrix, _as_int
 
 
 @dataclass
@@ -22,7 +22,7 @@ class SmoteConfig:
     seed: int = 0
 
     def __post_init__(self):
-        self.k = int(self.k)
+        self.k = _as_int(self.k, "smote.k")
         self.target_ratio = float(self.target_ratio)
         self.seed = int(self.seed)
         if self.k < 1:
@@ -45,27 +45,52 @@ class SmoteResult:
         }
 
 
-# Query rows per distance block: scratch memory is NEIGHBOR_BLOCK * n * d
-# float64 instead of n * n * d.
+# Query rows per distance block: scratch memory is O(NEIGHBOR_BLOCK * n)
+# float64 for n minority rows.
 NEIGHBOR_BLOCK = 128
 
 
 def minority_neighbors(X_min: np.ndarray, k: int) -> np.ndarray:
-    """Indices of each minority point's k nearest minority neighbors,
-    self excluded. Distance ties break by ascending row index.
+    """Indices of each minority point's k nearest minority neighbors, self
+    excluded, by the exact ``e_ij = ((x_i - x_j) ** 2).sum()`` (coordinate
+    differences, so equal distances compare equal); ties by row index.
 
-    Distances are computed as explicit coordinate differences (not the
-    expanded quadratic form) so that genuinely equal distances compare
-    exactly equal and the stable sort honors the index tie-break. Query
-    rows go in blocks of NEIGHBOR_BLOCK, which changes no distance.
+    Per block of NEIGHBOR_BLOCK query rows, one GEMM gives the expanded
+    ``a_ij = s_i + s_j - 2 x_i.x_j`` (``s_i = |x_i|^2``). With ``t_i`` the
+    k-th smallest ``a_ij`` (j != i) and ``|a_ij - e_ij| <= B_i``, the k-th
+    smallest ``e_ij`` is at most ``t_i + B_i``, so the exact top k, ties
+    included, all have ``a_ij <= t_i + 2 B_i``; only these candidates get
+    ``e_ij`` and are sorted by (distance, index), which gives the array of
+    sorting all n. The bound (Higham, Accuracy and Stability, ch. 3, with
+    ``g_m = m u / (1 - m u)``, ``u = eps/2``, any summation order, FMA or
+    not): ``s_i + s_j`` and ``2 x_i.x_j`` each err by ``g_d (s_i + s_j)``,
+    the two additions by ``eps (s_i + s_j)`` each, and ``e_ij`` by
+    ``g_{d+3} e_ij <= 2 g_{d+3} (s_i + s_j)``: ``(2d + 5) eps (s_i + s_j)``
+    to first order. ``B_i = 4 (d + 4) (eps (s_i + max_j s_j) + tiny)`` is
+    over twice that, covering the threshold's own roundings; the smallest
+    normal ``tiny`` covers underflow. ValueError when ``4 max_i s_i`` is not
+    finite (a non-finite value, or distances that could overflow).
     """
-    n = X_min.shape[0]
-    out = np.empty((n, min(k, n)), dtype=np.intp)
+    n, d = X_min.shape
+    k = min(k, n)
+    sq = np.einsum("ij,ij->i", X_min, X_min)
+    top = sq.max(initial=0.0)
+    if not top <= np.finfo(float).max / 4:  # also refuses NaN
+        raise ValueError("minority rows must be finite with 4 * max squared norm finite")
+    slack = 8 * (d + 4) * (np.finfo(float).eps * (sq + top) + np.finfo(float).tiny)  # 2 B_i
+    out = np.empty((n, k), dtype=np.intp)
     for start in range(0, n, NEIGHBOR_BLOCK):
         stop = min(start + NEIGHBOR_BLOCK, n)
-        d2 = ((X_min[start:stop, None, :] - X_min[None, :, :]) ** 2).sum(axis=2)
-        d2[np.arange(stop - start), np.arange(start, stop)] = np.inf
-        out[start:stop] = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        approx = sq[start:stop, None] - 2.0 * (X_min[start:stop] @ X_min.T) + sq
+        approx[np.arange(stop - start), np.arange(start, stop)] = np.inf
+        kth = np.partition(approx, k - 1, axis=1)[:, k - 1]
+        rows, cols = np.nonzero(approx <= (kth + slack[start:stop])[:, None])
+        rows += start
+        exact = ((X_min[rows] - X_min[cols]) ** 2).sum(axis=1)
+        exact[rows == cols] = np.inf  # self, a candidate only when k == n
+        order = np.lexsort((cols, exact, rows))  # rows ascend, so each row's run stays in place
+        first = np.searchsorted(rows, np.arange(start, stop))
+        out[start:stop] = cols[order[first[:, None] + np.arange(k)]]
     return out
 
 

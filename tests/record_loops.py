@@ -1,9 +1,11 @@
 """Record-at-a-time reference versions of the column code in ``dataprep`` and
 ``synthgen``: the loops the package used before its rules ran over whole
 columns. Also the default draw on the whole company x year grid, before it
-ran on the draw window's cells alone, and the random forest fit on bootstrap
-rows repeated, before it fit on bootstrap counts. Tests compare the package
-against them; nothing in ``src/`` imports this module.
+ran on the draw window's cells alone, the random forest fit on bootstrap
+rows repeated, before it fit on bootstrap counts, and SMOTE's neighbor search
+over every pair's distance tensor with a full stable sort, before it
+re-checked only the candidates of a GEMM prefilter. Tests compare the
+package against them; nothing in ``src/`` imports this module.
 
 A raw statement here is a ``CompanyRecord``; ``to_statements`` and
 ``to_records`` convert between records and the package's ``Statements``
@@ -387,3 +389,17 @@ def fit_rf_repeated_rows(X, y, params: RFParams, columns, seed):
         )
         trees.append(fit_tree(X[boot], y[boot], cfg))
     return TreeEnsembleModel("rf", trees, np.ones(len(trees)), 0.0, params, columns, seed)
+
+
+def minority_neighbors(X_min, k):
+    """Each row's k nearest other rows: explicit coordinate differences for
+    blocks of 128 query rows, every distance sorted stably (ties by row
+    index)."""
+    n = X_min.shape[0]
+    out = np.empty((n, min(k, n)), dtype=np.intp)
+    for start in range(0, n, 128):
+        stop = min(start + 128, n)
+        d2 = ((X_min[start:stop, None, :] - X_min[None, :, :]) ** 2).sum(axis=2)
+        d2[np.arange(stop - start), np.arange(start, stop)] = np.inf
+        out[start:stop] = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    return out

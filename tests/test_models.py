@@ -62,6 +62,22 @@ class TestLogisticRegression:
             assert np.abs(gw - fw).max() / max(np.abs(fw).max(), 1e-12) < 1e-5
             assert abs(gb - fb) / max(abs(fb), 1e-12) < 1e-5
 
+    def test_weights_match_the_per_epoch_residual_form(self):
+        # The fit forms p - y once per epoch from float labels; the same loop
+        # forming it twice from the int labels must give the same bits.
+        fm = random_matrix(500, seed=4)
+        params = px.LRParams(epochs=60)
+        w, b = np.zeros(fm.X.shape[1]), 0.0
+        for _ in range(params.epochs):
+            p = sigmoid(fm.X @ w + b)
+            gw = fm.X.T @ (p - fm.y) / fm.n + params.l2 * w
+            gb = float(np.mean(p - fm.y))
+            w -= params.learning_rate * gw
+            b -= params.learning_rate * gb
+        model = px.fit("lr", fm, params)
+        assert [v.hex() for v in model.weights] == [v.hex() for v in w]
+        assert model.bias.hex() == b.hex()
+
     def test_probabilities_do_not_depend_on_memory_layout(self):
         fm = random_matrix(2000, seed=3)
         model = px.fit("lr", fm, {"epochs": 50})

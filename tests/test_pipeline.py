@@ -282,12 +282,25 @@ class TestStrictConfig:
             run_pipeline(RunConfig.from_dict(doc), tmp_path / "run")
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("model, key, bad", [
+        ({"kind": "gbt", "params": {"n_estimators": 5.5}}, "n_estimators", 5.5),
+        ({"kind": "gbt", "params": {"n_estimators": 3, "max_depth": 2.5}}, "max_depth", 2.5),
+        ({"kind": "rf", "params": {"n_estimators": "4.0"}}, "n_estimators", "4.0"),
+        ({"kind": "lr", "params": {"epochs": True}}, "epochs", True),
+    ])
+    def test_integer_hyperparameters_must_be_whole_numbers(self, tmp_path, model, key, bad):
+        doc = copy.deepcopy(SMALL_DOC)
+        doc["model"] = model
+        with pytest.raises(ValueError, match=re.escape(f"model.params.{key} must be an integer, not {bad!r}")):
+            run_pipeline(RunConfig.from_dict(doc), tmp_path / "run")
+        assert not (tmp_path / "run").exists()
+
     def test_whole_number_section_integers_keep_the_digest(self):
         doc = copy.deepcopy(SMALL_DOC)
         doc["generator"].update(seed=11, n_companies=900.0, year_range=[2004.0, 2018])
         doc["split"].update(seed=12.0, train_years=[2004, 2012.0])
         doc["smote"].update(k=5.0, seed="13")
-        doc["model"]["seed"] = 14.0
+        doc["model"].update(seed=14.0, params={"n_estimators": 20.0, "max_depth": 3.0})
         doc["attribution"].update(background_size=40.0, n_instances=6.0, seed=15.0)
         whole = copy.deepcopy(SMALL_DOC)
         whole["generator"]["seed"], whole["split"]["seed"], whole["smote"]["seed"] = 11, 12, 13
@@ -296,6 +309,7 @@ class TestStrictConfig:
         assert config.to_dict() == RunConfig.from_dict(whole).to_dict()
         assert config.digest() == RunConfig.from_dict(whole).digest()
         assert type(config.generator.n_companies) is int and type(config.split.train_years[1]) is int
+        assert type(config.model.params["n_estimators"]) is int
 
 
 def held_in(doc, parsed) -> bool:

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import pdxplain as px
+from pdxplain.smote import NEIGHBOR_BLOCK, minority_neighbors
 
+import record_loops as ref
 from conftest import random_matrix
 
 
@@ -72,8 +74,6 @@ class TestGeometry:
     def test_blocked_neighbors_match_one_shot_form(self):
         # More rows than one block, with exact duplicates so that tied
         # distances must fall back to the row-index order in every block.
-        from pdxplain.smote import NEIGHBOR_BLOCK, minority_neighbors
-
         rng = np.random.default_rng(11)
         X = rng.integers(0, 3, size=(2 * NEIGHBOR_BLOCK + 37, 4)).astype(float)
         X[NEIGHBOR_BLOCK - 2 : NEIGHBOR_BLOCK + 3] = X[5]
@@ -81,6 +81,58 @@ class TestGeometry:
         np.fill_diagonal(d2, np.inf)
         one_shot = np.argsort(d2, axis=1, kind="stable")[:, :7]
         np.testing.assert_array_equal(minority_neighbors(X, 7), one_shot)
+
+
+class TestNeighborsMatchReference:
+    """The GEMM prefilter with its exact re-check returns the array of the
+    full distance tensor sorted stably (``record_loops.minority_neighbors``)."""
+
+    def check(self, X, k):
+        np.testing.assert_array_equal(minority_neighbors(X, k), ref.minority_neighbors(X, k))
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e-30, 1e-8, 1.0, 1e8, 1e30, 1e150])
+    def test_scaled_random_rows(self, scale):
+        rng = np.random.default_rng(int(abs(np.log10(scale))))
+        X = rng.normal(size=(NEIGHBOR_BLOCK + 40, 15)) * scale
+        X[::7] += 50 * scale  # a far cluster, so the rows' norms differ widely
+        self.check(X, 10)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_integer_rows_with_duplicates_across_blocks(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 3 * NEIGHBOR_BLOCK + 11
+        X = rng.integers(-2, 3, size=(n, 3 + seed)).astype(float)
+        for edge in (NEIGHBOR_BLOCK, 2 * NEIGHBOR_BLOCK):  # copies on both sides of a block edge
+            X[edge - 3 : edge + 3] = X[seed]
+        self.check(X, 1 + 2 * seed)
+
+    def test_all_rows_identical(self):
+        self.check(np.full((NEIGHBOR_BLOCK + 9, 6), 0.3), 5)
+
+    @pytest.mark.parametrize("n", [2, 17, NEIGHBOR_BLOCK, NEIGHBOR_BLOCK + 1, 2 * NEIGHBOR_BLOCK + 37])
+    def test_k_one_and_all_others(self, n):
+        X = np.random.default_rng(n).normal(size=(n, 4)).round(1)  # rounding makes ties
+        self.check(X, 1)
+        self.check(X, n - 1)
+
+    def test_one_column(self):
+        X = np.random.default_rng(3).integers(0, 40, size=(NEIGHBOR_BLOCK + 60, 1)).astype(float)
+        self.check(X, 7)
+
+    def test_imbalanced_panel_minority_rows(self):
+        cfg = px.GeneratorConfig(n_companies=4000, year_range=(2004, 2018), imbalance_ratio=12.0, seed=5)
+        statements, _ = px.generate_statements(cfg)
+        train = px.prepare(statements, px.SplitSpec(seed=1)).split.train
+        X_min = train.X[train.y == 1]
+        assert X_min.shape[0] > NEIGHBOR_BLOCK
+        self.check(X_min, 10)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e154])
+    def test_uncertifiable_rows_rejected(self, bad):
+        X = np.random.default_rng(0).normal(size=(30, 5))
+        X[17, 2] = bad  # 1e154 squares to a finite 1e308, but 4 * 1e308 overflows
+        with pytest.raises(ValueError, match="finite"):
+            minority_neighbors(X, 3)
 
 
 class TestPreservation:
@@ -119,6 +171,9 @@ class TestPreservation:
 def test_config_validation():
     with pytest.raises(ValueError):
         px.SmoteConfig(k=0)
+    with pytest.raises(ValueError, match="integer"):
+        px.SmoteConfig(k=5.5)
+    assert px.SmoteConfig(k=5.0).k == 5
     with pytest.raises(ValueError):
         px.SmoteConfig(target_ratio=0.0)
     with pytest.raises(ValueError):
