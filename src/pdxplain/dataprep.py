@@ -173,10 +173,10 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self):
-        self.train_years = tuple(self.train_years)
-        self.validation_years = tuple(self.validation_years)
+        self.train_years = tuple(_as_int(v, "split.train_years") for v in self.train_years)
+        self.validation_years = tuple(_as_int(v, "split.validation_years") for v in self.validation_years)
         self.test_fraction = float(self.test_fraction)
-        self.seed = int(self.seed)
+        self.seed = _as_int(self.seed, "split.seed")
         t0, t1 = self.train_years
         v0, v1 = self.validation_years
         if t0 > t1 or v0 > v1:

@@ -16,7 +16,12 @@ keeps cached and fresh runs on the same data path and makes report bundles
 byte-identical across reruns. Each artifact is read only inside the stages
 that consume it, so a cache hit reads nothing; the split matrix and the
 models, which several stages use, are read at most once per run. The
-bundle is built from the stages' JSON files alone.
+bundle is built from six stage JSON files alone. Its key hashes the config,
+those files' bytes and the package version, and ``stages/bundle.json``
+records it with each bundle file's sha256; a run that matches both (a
+finished run repeated, say to reprint the report) writes nothing. A change
+to how the bundle is rendered must bump ``__version__``, as a change to a
+stage's output already must.
 
 Stages hand data to each other as numpy ``.npz`` columns, saved and loaded
 without pickles: the raw statements (``data.npz``, ``dataprep.Statements``),
@@ -78,7 +83,7 @@ class ModelSection:
     seed: int = 0
 
     def __post_init__(self):
-        self.seed = int(self.seed)
+        self.seed = _as_int(self.seed, "model.seed")
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"model.kind {self.kind!r} is not one of {', '.join(MODEL_KINDS)}")
         if self.params is not None:  # unknown keys, whole integers, then the kind's own checks
@@ -100,11 +105,11 @@ class AttributionSection:
     seed: int = 0
 
     def __post_init__(self):
-        self.background_size = int(self.background_size)
-        self.n_instances = int(self.n_instances)
+        self.background_size = _as_int(self.background_size, "attribution.background_size")
+        self.n_instances = _as_int(self.n_instances, "attribution.n_instances")
+        self.seed = _as_int(self.seed, "attribution.seed")
         if not isinstance(self.group_countries, bool):
             raise ValueError(f"attribution.group_countries must be true or false, not {self.group_countries!r}")
-        self.seed = int(self.seed)
         if not self.group_countries:
             raise ValueError("attribution.group_countries must be true: align compares the "
                              "attribution with survey features, which have no country_XX columns")
@@ -145,11 +150,6 @@ def parse_section(name: str, doc, run_seed: Optional[int] = None):
     derives it from ``run_seed``; otherwise the dataclass default applies."""
     cls = SECTIONS[name]
     _check_keys(cls, f"config section {name!r}", doc)
-    for f in fields(cls):  # whole numbers only, so that 2.5 is refused rather than cast to 2
-        if f.name in doc and f.type in ("int", "tuple[int, int]"):
-            key, value = f"{name}.{f.name}", doc[f.name]
-            pair = f.type != "int" and isinstance(value, (list, tuple))
-            doc = {**doc, f.name: [_as_int(v, key) for v in value] if pair else _as_int(value, key)}
     if run_seed is not None and name in STAGE_SEEDS and "seed" not in doc:
         doc = {**doc, "seed": int(np.random.SeedSequence([run_seed, STAGE_SEEDS[name]]).generate_state(1)[0])}
     try:
@@ -192,8 +192,12 @@ class RunConfig:
         return asdict(self)
 
     def digest(self) -> str:
-        payload = json.dumps(self.to_dict(), sort_keys=True).encode()
-        return hashlib.sha256(payload).hexdigest()[:12]
+        return _json_sha256(self.to_dict())[:12]
+
+
+def _json_sha256(doc) -> str:
+    """sha256 hex digest of ``doc`` as sorted-key JSON."""
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
 class ReferenceGrades:
@@ -462,23 +466,27 @@ def run_pipeline(config: RunConfig, out_dir) -> dict:
         inputs=[(config.survey_path, "analyst_survey.csv")],
     )
 
-    try:
-        meta = read_json(prep_dir / "features.meta.json")
-        bundle = {
-            "config": doc,
-            "config_digest": config.digest(),
-            "generation": read_json(gen_dir / "generation.json"),
-            "rejections": meta["rejections"],
-            "default_rates": meta["default_rates"],
-            "performance": read_json(eval_dir / "performance.json"),
-            "attribution": read_json(explain_dir / "attributions.json"),
-            "grading": read_json(grade_dir / "grading.json"),
-            "alignment": read_json(align_dir / "alignment.json"),
-        }
-        _write_bundle(out_dir, bundle)
+    sources = {"generation": gen_dir / "generation.json", "meta": prep_dir / "features.meta.json",
+               "performance": eval_dir / "performance.json", "attribution": explain_dir / "attributions.json",
+               "grading": grade_dir / "grading.json", "alignment": align_dir / "alignment.json"}
+    try:  # the config, the version and the bytes of the stage files fix every byte of the bundle
+        data = {name: path.read_bytes() for name, path in sources.items()}
+        key = _json_sha256([doc, {name: hashlib.sha256(b).hexdigest() for name, b in data.items()}, __version__])
+        if not _bundle_is_current(out_dir, key):
+            bundle = {name: json.loads(b) for name, b in data.items()}
+            meta = bundle.pop("meta")
+            bundle.update(config=doc, config_digest=_json_sha256(doc)[:12], rejections=meta["rejections"],
+                          default_rates=meta["default_rates"])
+            _write_bundle(out_dir, bundle, key)
     except Exception as exc:
         raise StageError("report", exc) from exc
     return read_json(out_dir / "report.json")
+
+
+# The report bundle's files, and the marker that records its key and their digests.
+BUNDLE_FILES = ("report.json", "performance.csv", "default_rates.csv", "grade_confusion.csv", "importance.csv",
+                "alignment.csv")
+BUNDLE_MARKER = "stages/bundle.json"
 
 
 def _tables(bundle: dict) -> dict:
@@ -517,19 +525,33 @@ def _tables(bundle: dict) -> dict:
     }
 
 
-def _write_bundle(out_dir: Path, bundle: dict) -> None:
-    """Write report.json and the five CSV tables. Every file is rendered
-    and written to a temp file first, then renamed into place, so a failure
-    leaves the previous bundle's files whole."""
-    texts = {"report.json": json.dumps(bundle, sort_keys=True, indent=1, allow_nan=False)}
+def _bundle_is_current(out_dir: Path, key: str) -> bool:
+    """Whether the bundle marker records ``key`` and each bundle file still
+    has the sha256 recorded with it. A missing or broken marker is not."""
+    try:
+        marker = read_json(out_dir / BUNDLE_MARKER)
+        return marker["key"] == key and all(hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+                                            == marker["files"][name] for name in BUNDLE_FILES)
+    except (OSError, ValueError, KeyError, TypeError):
+        return False
+
+
+def _write_bundle(out_dir: Path, bundle: dict, key: str) -> None:
+    """Write report.json, the five CSV tables and, last, the marker that
+    records ``key`` and the sha256 of each file's bytes. Every file is
+    rendered and written to a temp file first, then renamed into place, so a
+    failure leaves the previous bundle's files and marker whole."""
+    data = {"report.json": json.dumps(bundle, sort_keys=True, indent=1, allow_nan=False).encode()}
     for name, rows in _tables(bundle).items():
         buf = io.StringIO(newline="")
         csv.writer(buf).writerows(rows)
-        texts[name] = buf.getvalue()
-    temps = {name: out_dir / f".{name}.tmp" for name in texts}
+        data[name] = buf.getvalue().encode()
+    files = {name: hashlib.sha256(b).hexdigest() for name, b in data.items()}
+    data[BUNDLE_MARKER] = json.dumps({"key": key, "files": files}, sort_keys=True).encode()
+    temps = {name: out_dir / f".{Path(name).name}.tmp" for name in data}
     try:
-        for name, text in texts.items():
-            temps[name].write_text(text, newline="")
+        for name, b in data.items():
+            temps[name].write_bytes(b)
         for name, tmp in temps.items():
             os.replace(tmp, out_dir / name)
     finally:

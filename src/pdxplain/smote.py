@@ -24,7 +24,7 @@ class SmoteConfig:
     def __post_init__(self):
         self.k = _as_int(self.k, "smote.k")
         self.target_ratio = float(self.target_ratio)
-        self.seed = int(self.seed)
+        self.seed = _as_int(self.seed, "smote.seed")
         if self.k < 1:
             raise ValueError("k must be >= 1")
         if not 0.0 < self.target_ratio <= 1.0:

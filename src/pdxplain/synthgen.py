@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataprep import _KINDS, DEFAULT_COUNTRIES, Statements
+from .dataprep import _KINDS, DEFAULT_COUNTRIES, Statements, _as_int
 
 MASKABLE_FIELDS = tuple(
     f for f in _KINDS if f not in ("company_id", "statement_year", "out_of_business")
@@ -70,8 +70,9 @@ class GeneratorConfig:
     seed: int = 0
 
     def __post_init__(self):
-        self.year_range = tuple(self.year_range)
-        self.seed = int(self.seed)
+        self.year_range = tuple(_as_int(v, "generator.year_range") for v in self.year_range)
+        self.n_companies = _as_int(self.n_companies, "generator.n_companies")
+        self.seed = _as_int(self.seed, "generator.seed")
         if self.n_companies < 1:
             raise ValueError("n_companies must be >= 1")
         y0, y1 = self.year_range

@@ -1,3 +1,6 @@
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -84,6 +87,16 @@ def small_panel():
     statements, oracle = px.generate_statements(cfg)
     prep = px.prepare(statements, px.SplitSpec(seed=3))
     return {"statements": statements, "oracle": oracle, "prep": prep}
+
+
+def tree_digest(root) -> str:
+    """sha256 over every file under ``root``: relative path, then bytes."""
+    h = hashlib.sha256()
+    for p in sorted(Path(root).rglob("*")):
+        if p.is_file():
+            h.update(str(p.relative_to(root)).encode())
+            h.update(p.read_bytes())
+    return h.hexdigest()
 
 
 def npz_arrays(path) -> dict:

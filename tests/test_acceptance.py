@@ -5,13 +5,11 @@ one PASS/FAIL line (visible with ``pytest -s`` or on failure). Several
 criteria carry wall-clock budgets, asserted here as well.
 """
 
-import hashlib
 import itertools
 import json
 import math
 import time
 from contextlib import contextmanager
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +19,8 @@ from pdxplain.grading import GradeCalibration
 from pdxplain.models import logistic_loss, lr_gradient
 from pdxplain.pipeline import RunConfig, run_pipeline
 from pdxplain.shapley import build_players
+
+from conftest import tree_digest
 
 
 @contextmanager
@@ -350,18 +350,9 @@ def test_criterion_8_expert_table_fixture():
         assert spearman_rho(strict, strict[::-1]) == -1.0
 
 
-def _tree_digest(root) -> str:
-    h = hashlib.sha256()
-    for p in sorted(Path(root).rglob("*")):
-        if p.is_file():
-            h.update(str(p.relative_to(root)).encode())
-            h.update(p.read_bytes())
-    return h.hexdigest()
-
-
 def test_criterion_9_end_to_end_determinism(tmp_path):
     with criterion(9, "two demo-config runs produce byte-identical bundles", budget_s=600.0):
         config = RunConfig.from_dict(demo_config_doc())
         run_pipeline(config, tmp_path / "first")
         run_pipeline(config, tmp_path / "second")
-        assert _tree_digest(tmp_path / "first") == _tree_digest(tmp_path / "second")
+        assert tree_digest(tmp_path / "first") == tree_digest(tmp_path / "second")

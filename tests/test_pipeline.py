@@ -12,9 +12,18 @@ import pytest
 
 import pdxplain as px
 from pdxplain.cli import main
-from pdxplain.pipeline import RunConfig, StageError, format_report, read_reference_grades, run_pipeline
+from pdxplain.pipeline import (
+    BUNDLE_FILES,
+    AttributionSection,
+    ModelSection,
+    RunConfig,
+    StageError,
+    format_report,
+    read_reference_grades,
+    run_pipeline,
+)
 
-from conftest import SPOILERS
+from conftest import SPOILERS, tree_digest
 from record_loops import to_records, write_records
 
 DATA = Path(px.__file__).parent / "data"
@@ -35,15 +44,6 @@ SMALL_DOC = {
     "attribution": {"background_size": 40, "n_instances": 6, "group_countries": True},
     "grading": {"mode": "calibrate"},
 }
-
-
-def tree_digest(root) -> str:
-    h = hashlib.sha256()
-    for p in sorted(Path(root).rglob("*")):
-        if p.is_file():
-            h.update(str(p.relative_to(root)).encode())
-            h.update(p.read_bytes())
-    return h.hexdigest()
 
 
 def swapped_survey(tmp_path) -> Path:
@@ -131,8 +131,14 @@ class TestRunPipeline:
             raise OSError("disk full")
 
         monkeypatch.setattr(px.pipeline.csv, "writer", fail)  # the CSV tables cannot be written
+        marker = (out / "stages" / "bundle.json").read_bytes()
         with pytest.raises(StageError, match="'report'"):
             run_pipeline(RunConfig.from_dict(doc), out)
+        assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == before
+        assert (out / "stages" / "bundle.json").read_bytes() == marker
+        states = file_states(out)  # the original config hits: nothing is rendered, so the failing writer is not called
+        assert run_pipeline(small_run["config"], out) == small_run["bundle"]
+        assert file_states(out) == states
         assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == before
 
     def test_uniform_survey_writes_null_correlations(self, small_run, tmp_path):
@@ -295,6 +301,23 @@ class TestStrictConfig:
             run_pipeline(RunConfig.from_dict(doc), tmp_path / "run")
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("cls, kwargs, key, bad", [
+        (px.GeneratorConfig, {"n_companies": 900, "year_range": (2004, 2018), "seed": 2.5}, "generator.seed", 2.5),
+        (px.GeneratorConfig, {"n_companies": 900.5, "year_range": (2004, 2018)}, "generator.n_companies", 900.5),
+        (px.GeneratorConfig, {"n_companies": 900, "year_range": (2004, 2018.5)}, "generator.year_range", 2018.5),
+        (px.SplitSpec, {"seed": 1.5}, "split.seed", 1.5),
+        (px.SplitSpec, {"train_years": (2004.5, 2012)}, "split.train_years", 2004.5),
+        (px.SplitSpec, {"validation_years": (2013, 2018.5)}, "split.validation_years", 2018.5),
+        (px.SmoteConfig, {"seed": 2.5}, "smote.seed", 2.5),
+        (ModelSection, {"seed": 1.5}, "model.seed", 1.5),
+        (AttributionSection, {"background_size": 99.5}, "attribution.background_size", 99.5),
+        (AttributionSection, {"n_instances": 25.9}, "attribution.n_instances", 25.9),
+        (AttributionSection, {"seed": 0.5}, "attribution.seed", 0.5),
+    ])
+    def test_sections_built_directly_refuse_non_whole_integers(self, cls, kwargs, key, bad):
+        with pytest.raises(ValueError, match=re.escape(f"{key} must be an integer, not {bad!r}")):
+            cls(**kwargs)
+
     def test_whole_number_section_integers_keep_the_digest(self):
         doc = copy.deepcopy(SMALL_DOC)
         doc["generator"].update(seed=11, n_companies=900.0, year_range=[2004.0, 2018])
@@ -390,12 +413,15 @@ class TestStageCache:
         assert {name.rsplit("_", 1)[0] for name in set(stage_markers(out)) - set(before)} == {stage}
 
 
-BUNDLE_FILES = ("report.json", "performance.csv", "default_rates.csv", "grade_confusion.csv",
-                "importance.csv", "alignment.csv")
-
-
 def bundle_bytes(out) -> dict:
     return {name: (Path(out) / name).read_bytes() for name in BUNDLE_FILES}
+
+
+def file_states(out) -> dict:
+    """Path under ``out`` (``out`` itself included) -> (mtime, inode). A file
+    created, rewritten, renamed over or deleted changes it."""
+    return {str(p.relative_to(out)): (p.stat().st_mtime_ns, p.stat().st_ino)
+            for p in [Path(out), *Path(out).rglob("*")]}
 
 
 def copy_stages(small_run, dest) -> Path:
@@ -485,6 +511,124 @@ class TestArtifactReads:
             run_pipeline(RunConfig.from_dict({**SMALL_DOC, **edit}), out)
         assert info.value.stage == stage
         assert isinstance(info.value.cause, ValueError) and str(info.value.cause).startswith(f"{path}: ")
+
+
+def edited_marker(edit):
+    """A marker spoiler that parses the marker, lets ``edit`` change it in place and writes it back."""
+    def spoil(data):
+        marker = json.loads(data)
+        edit(marker)
+        return json.dumps(marker).encode()
+    return spoil
+
+
+# How the bundle marker can be broken: its bytes -> new bytes, or None to delete it.
+MARKER_SPOILERS = {
+    "missing": lambda data: None,
+    "empty": lambda data: b"",
+    "truncated": lambda data: data[: len(data) // 2],
+    "garbage": lambda data: b"\xff\xfe garbage",
+    "list": lambda data: b"[1, 2]",
+    "no_key": edited_marker(lambda m: m.pop("key")),
+    "no_digests": edited_marker(lambda m: m["files"].clear()),
+    "files_list": edited_marker(lambda m: m.update(files=list(m["files"]))),
+    "stale_digest": edited_marker(lambda m: m["files"].update({"report.json": "0" * 64})),
+}
+
+
+# The stage JSON files the bundle is rendered from.
+BUNDLE_SOURCES = ("generate_*/generation.json", "prepare_*/features.meta.json", "evaluate_*/performance.json",
+                  "explain_*/attributions.json", "map-grades_*/grading.json", "align_*/alignment.json")
+
+
+class TestBundleCache:
+    """The bundle is keyed by the config and the bytes of the stage files it
+    is rendered from; ``stages/bundle.json`` records that key and each bundle
+    file's sha256."""
+
+    def test_all_hit_rerun_writes_nothing(self, small_run, tmp_path, monkeypatch):
+        out = tmp_path / "rerun"
+        shutil.copytree(small_run["out"], out)
+        forbid_upstream_reads(monkeypatch)
+        read, read_json = [], px.pipeline.read_json
+        monkeypatch.setattr(px.pipeline, "read_json", lambda path: read.append(Path(path).name) or read_json(path))
+        states = file_states(out)
+        assert run_pipeline(small_run["config"], out) == small_run["bundle"]
+        assert file_states(out) == states
+        assert not list(out.rglob("*.tmp"))
+        assert read == ["bundle.json", "report.json"]  # the stage files are hashed, not parsed
+
+    @pytest.mark.parametrize("pattern", BUNDLE_SOURCES)
+    def test_any_byte_of_a_source_enters_the_key(self, small_run, tmp_path, pattern):
+        out = tmp_path / "source"
+        shutil.copytree(small_run["out"], out)
+        key = json.loads((out / "stages" / "bundle.json").read_text())["key"]
+        [path] = (out / "stages").glob(pattern)
+        path.write_bytes(path.read_bytes() + b"\n")  # same JSON, different bytes
+        assert run_pipeline(small_run["config"], out) == small_run["bundle"]
+        assert json.loads((out / "stages" / "bundle.json").read_text())["key"] != key
+        assert bundle_bytes(out) == bundle_bytes(small_run["out"])
+
+    def test_stale_stage_file_is_rendered_not_served(self, small_run, tmp_path):
+        """A finished stage's output edited in place reaches the next bundle,
+        although every stage hits."""
+        out = tmp_path / "stale"
+        shutil.copytree(small_run["out"], out)
+        [perf] = (out / "stages").glob("evaluate_*/performance.json")
+        doc = json.loads(perf.read_text())
+        doc["rows"][0]["accuracy"] = 0.5
+        perf.write_text(json.dumps(doc))
+        markers = stage_markers(out)
+        report = run_pipeline(small_run["config"], out)
+        assert stage_markers(out) == markers
+        assert report["performance"] == doc
+        assert report == json.loads((out / "report.json").read_text())
+        assert (out / "performance.csv").read_text().splitlines()[1].split(",")[2] == "0.5"
+
+    @pytest.mark.parametrize("name", BUNDLE_FILES)
+    @pytest.mark.parametrize("damage", ["deleted", "edited"])
+    def test_damaged_bundle_file_is_restored(self, small_run, tmp_path, name, damage):
+        out = tmp_path / "damaged"
+        shutil.copytree(small_run["out"], out)
+        path = out / name
+        if damage == "deleted":
+            path.unlink()
+        else:
+            path.write_bytes(path.read_bytes().replace(b"0", b"1", 1))
+        assert run_pipeline(small_run["config"], out) == small_run["bundle"]
+        assert bundle_bytes(out) == bundle_bytes(small_run["out"])
+        assert tree_digest(out) == tree_digest(small_run["out"])
+
+    @pytest.mark.parametrize("spoil", list(MARKER_SPOILERS))
+    def test_broken_marker_rebuilds_the_bundle(self, small_run, tmp_path, spoil):
+        out = tmp_path / "broken"
+        shutil.copytree(small_run["out"], out)
+        path = out / "stages" / "bundle.json"
+        spoiled = MARKER_SPOILERS[spoil](path.read_bytes())
+        if spoiled is None:
+            path.unlink()
+        else:
+            path.write_bytes(spoiled)
+        assert run_pipeline(small_run["config"], out) == small_run["bundle"]
+        assert tree_digest(out) == tree_digest(small_run["out"])
+
+    def test_survey_edit_rebuilds_the_bundle_and_updates_the_marker(self, small_run, tmp_path):
+        out = tmp_path / "survey"
+        shutil.copytree(small_run["out"], out)
+        survey = tmp_path / "in_place.csv"
+        shutil.copyfile(DATA / "analyst_survey.csv", survey)
+        config = RunConfig.from_dict({**SMALL_DOC, "survey_path": str(survey)})
+        first = run_pipeline(config, out)
+        marker = json.loads((out / "stages" / "bundle.json").read_text())
+        survey.write_text(swapped_survey(tmp_path).read_text())
+        second = run_pipeline(config, out)
+        assert second["alignment"] != first["alignment"]
+        updated = json.loads((out / "stages" / "bundle.json").read_text())
+        assert updated["key"] != marker["key"]
+        assert updated["files"] == {name: hashlib.sha256(data).hexdigest() for name, data in bundle_bytes(out).items()}
+        states = file_states(out)
+        assert run_pipeline(config, out) == second
+        assert file_states(out) == states
 
 
 def test_stage_files_are_markers_json_npz_or_the_grade_csv(small_run):
