@@ -31,6 +31,13 @@ where people and other tools meet the data: the JSON sidecars, summaries
 and models, the reference grades (``reference_grades.csv``, the analysts'
 format) and the report bundle.
 
+Given a second CPU and no other Python thread, a tree ensemble's WRS fit
+and half its explained instances run in a forked child (``forks.fork_map``),
+the RS fit and the rest here; the run tree is byte-identical to a serial
+run's. Only ``run_pipeline`` lets its stages fork: ``global_importance``
+called on its own stays serial. Logistic regression stays serial too:
+forking its two fits or its explained instances was slower.
+
 A run config (``RunConfig``) is one dataclass per JSON section, whose
 fields are the section's keys and hold its defaults. A key that is not a
 field raises ValueError before any stage runs.
@@ -38,6 +45,7 @@ field raises ValueError before any stage runs.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import hashlib
@@ -55,6 +63,7 @@ from . import __version__
 from . import alignment as alignment_mod
 from . import grading as grading_mod
 from .dataprep import DEFAULT_COUNTRIES, FeatureMatrix, SplitSpec, Statements, _as_int, prepare
+from .forks import fork_map, forking
 from .metrics import evaluate
 from .models import MODEL_KINDS, PARAM_CLASSES, fit, load_model, predict_proba, save_model
 from .shapley import (
@@ -387,6 +396,9 @@ def run_pipeline(config: RunConfig, out_dir) -> dict:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     doc = config.to_dict()
+    # This process is the pipeline's, so its stages may fork (forks.py): a tree ensemble's train and
+    # explain stages do. LR's stay serial; forking its fits or its explained instances was slower.
+    may_fork = contextlib.nullcontext if config.model.kind == "lr" else forking
 
     def run_stage(name: str, fields, upstream: list[Path], compute, inputs=()) -> Path:
         """Run ``compute`` into the stage's directory unless a finished one
@@ -402,7 +414,8 @@ def run_pipeline(config: RunConfig, out_dir) -> dict:
             d = out_dir / "stages" / f"{name}_{key.hexdigest()[:12]}"
             if not (d / ".done").exists():
                 d.mkdir(parents=True, exist_ok=True)
-                compute(d)
+                with may_fork():
+                    compute(d)
                 (d / ".done").write_text("ok\n")
             return d
         except Exception as exc:
@@ -427,9 +440,11 @@ def run_pipeline(config: RunConfig, out_dir) -> dict:
     ))
 
     def _train(d: Path):
-        train_rs = FeatureMatrix.load(rs_dir / "train_resampled.npz")
-        for rows, name in ((splits()["train"], "model_wrs.json"), (train_rs, "model_rs.json")):
-            train_stage(config.model.kind, rows, config.model.params, config.model.seed, d / name)
+        def fit_one(job):
+            train_stage(config.model.kind, job[0], config.model.params, config.model.seed, d / job[1])
+        # RS, the longer fit, runs in this process and WRS in fork_map's child, when the stage may fork.
+        fork_map(fit_one, [(FeatureMatrix.load(rs_dir / "train_resampled.npz"), "model_rs.json"),
+                           (splits()["train"], "model_wrs.json")])
     train_dir = run_stage("train", doc["model"], [prep_dir, rs_dir], _train)
     model = functools.cache(lambda name: load_model(train_dir / name))
     # Evaluate and map-grades score the same splits: predict each (model, split) once.

@@ -31,6 +31,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dataprep import FeatureMatrix
+from .forks import fork_map
 from .models import LINKS, Model, TreeEnsembleModel, predict_proba
 from .trees import tree_to_dict
 
@@ -375,5 +376,7 @@ def global_importance(model: Model, instances, config: AttributionConfig) -> Att
     names, game = _game(model, config)
     base = float(predict_proba(model, config.background).mean())
     preds = predict_proba(model, X)
-    phi = np.stack([_shapley_from_values(game(x), len(names)) for x in X])
+    def solve(x):
+        return _shapley_from_values(game(x), len(names))
+    phi = np.stack(fork_map(solve, X))  # the game is built once, above, and fork_map's child inherits it
     return AttributionReport(players=names, base_value=base, phi=phi, predictions=preds)

@@ -232,9 +232,11 @@ def _calibrate_intercept(panel: _Panel) -> float:
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         if panel.labeled_rate(mid) < target:
-            lo = mid
+            lo, moved = mid, mid != lo
         else:
-            hi = mid
+            hi, moved = mid, mid != hi
+        if not moved:  # a fixed point: every later step would compute this mid and decide the same
+            break
     return hi
 
 

@@ -4,7 +4,8 @@ columns. Also the default draw on the whole company x year grid, before it
 ran on the draw window's cells alone, the random forest fit on bootstrap
 rows repeated, before it fit on bootstrap counts, and SMOTE's neighbor search
 over every pair's distance tensor with a full stable sort, before it
-re-checked only the candidates of a GEMM prefilter. Tests compare the
+re-checked only the candidates of a GEMM prefilter, and the intercept
+bisection's full 80 halvings, before it stopped at its fixed point. Tests compare the
 package against them; nothing in ``src/`` imports this module.
 
 A raw statement here is a ``CompanyRecord``; ``to_statements`` and
@@ -260,8 +261,8 @@ def labeled_rate(panel, intercept):
 
 
 def calibrate_intercept(panel):
-    """The bisected intercept, and every intercept whose rate it measured
-    (the two bracket ends first)."""
+    """The bisected intercept after all 80 halvings, and every intercept
+    whose rate it measured (the two bracket ends first)."""
     target = panel.config.target_rate
     lo, hi = _BISECT_LO, _BISECT_HI
     visited = [lo, hi]

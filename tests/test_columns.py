@@ -2,16 +2,22 @@
 it replaced (``record_loops``): same records, labels, features, rejection
 reasons and errors, and the same columns back from the stage files."""
 
+import runpy
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import pdxplain as px
 from pdxplain import dataprep
 from pdxplain.dataprep import REQUIRED_RATIO_FIELDS
+from pdxplain.pipeline import RunConfig
 from pdxplain.synthgen import _calibrate_intercept, _Panel
 
 import record_loops as ref
 from conftest import features_of, make_record
+
+ROOT = Path(__file__).resolve().parents[1]
 
 MISSING_RATES = {
     "country_code": 0.03,
@@ -176,6 +182,41 @@ class TestDefaultDraw:
         panel = draw_panel(600, 12.0, 5)
         np.testing.assert_array_equal(panel.default_year(500.0), panel.entry + 1)
         assert panel.labeled_rate(500.0) == ref.labeled_rate(panel, 500.0) == 1.0
+
+
+def workload_generators():
+    """The GeneratorConfig of each desk-run benchmark workload at seeds 2024 and 7."""
+    workloads = runpy.run_path(str(ROOT / "deskbench" / "workloads.py"))  # writes no bytecode
+    return [pytest.param(RunConfig.from_dict(workloads["config_doc"](name, seed, ROOT / "src")).generator,
+                         id=f"{name}-{seed}")
+            for name in workloads["NAMES"] for seed in (2024, 7)]
+
+
+EDGE_GENERATORS = [
+    pytest.param(px.GeneratorConfig(n_companies=800, year_range=(2004, 2018), imbalance_ratio=1.0, seed=3),
+                 id="balanced"),
+    pytest.param(px.GeneratorConfig(n_companies=800, year_range=(2004, 2018), signal_strength=0.0,
+                                    imbalance_ratio=12.0, seed=3), id="no_signal"),
+    pytest.param(px.GeneratorConfig(n_companies=800, year_range=(2004, 2018), signal_strength=4.0,
+                                    imbalance_ratio=12.0, seed=3), id="sharp_signal"),
+    pytest.param(px.GeneratorConfig(n_companies=60, year_range=(2010, 2011), imbalance_ratio=3.0, seed=5),
+                 id="two_years"),
+]
+
+
+class TestBisectionFixedPoint:
+    """The bisection stops at its fixed point with the intercept of the full
+    80-step loop in ``record_loops``, bit for bit."""
+
+    @pytest.mark.parametrize("config", workload_generators() + EDGE_GENERATORS)
+    def test_same_intercept_as_eighty_steps(self, config, monkeypatch):
+        panel = _Panel(config)
+        want, _ = ref.calibrate_intercept(panel)
+        calls = []
+        rate = panel.labeled_rate
+        monkeypatch.setattr(panel, "labeled_rate", lambda b: calls.append(b) or rate(b))
+        assert _calibrate_intercept(panel).hex() == want.hex()
+        assert len(calls) < 82
 
 
 class TestQuotedText:

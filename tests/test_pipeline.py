@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import json
+import os
 import re
 import runpy
 import shutil
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import pdxplain as px
+from pdxplain import forks
 from pdxplain.cli import main
 from pdxplain.pipeline import (
     BUNDLE_FILES,
@@ -629,6 +631,84 @@ class TestBundleCache:
         states = file_states(out)
         assert run_pipeline(config, out) == second
         assert file_states(out) == states
+
+
+def count_forks(monkeypatch) -> list:
+    """Record the pid of every child forked from now on."""
+    pids, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestForkedWork:
+    """A tree ensemble's WRS fit and half its explained instances run in a
+    forked child; the run tree is byte-identical to a one-CPU run's."""
+
+    @pytest.mark.parametrize("model, forks_on_two_cpus", [
+        (SMALL_DOC["model"], 2),  # train and explain
+        ({"kind": "rf", "params": {"n_estimators": 8, "max_depth": 4}}, 2),
+        ({"kind": "adaboost", "params": {"n_estimators": 10}}, 2),
+        ({"kind": "lr", "params": None}, 0),
+    ], ids=["gbt", "rf", "adaboost", "lr"])
+    def test_forked_run_matches_one_cpu_run(self, tmp_path, monkeypatch, model, forks_on_two_cpus):
+        config = RunConfig.from_dict({**SMALL_DOC, "model": model})
+        runs = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(forks, "_cpus", lambda: cpus)
+            pids = count_forks(monkeypatch)
+            run_pipeline(config, tmp_path / str(cpus))
+            assert len(pids) == (forks_on_two_cpus if cpus == 2 else 0)
+            assert_no_child_left()
+            runs[cpus] = tree_digest(tmp_path / str(cpus))
+        assert runs[1] == runs[2]
+
+    def test_child_fit_failure_is_a_train_stage_error(self, small_run, tmp_path, monkeypatch):
+        out = copy_stages(small_run, tmp_path / "failed")
+        (train_dir,) = out.glob("stages/train_*")
+        shutil.rmtree(train_dir)
+        monkeypatch.setattr(forks, "_cpus", lambda: 2)
+        pids = count_forks(monkeypatch)
+        train_stage = px.pipeline.train_stage
+
+        def fail_wrs(kind, rows, params, seed, model_path):
+            if Path(model_path).name == "model_wrs.json":
+                raise ValueError(f"no WRS fit in pid {os.getpid()}")
+            train_stage(kind, rows, params, seed, model_path)
+
+        monkeypatch.setattr(px.pipeline, "train_stage", fail_wrs)
+        with pytest.raises(StageError, match="'train'") as info:
+            run_pipeline(small_run["config"], out)
+        assert info.value.stage == "train" and isinstance(info.value.cause, ValueError)
+        assert str(info.value.cause) == f"no WRS fit in pid {pids[0]}"  # raised in the child
+        assert not (train_dir / ".done").exists()
+        assert_no_child_left()
+        monkeypatch.setattr(px.pipeline, "train_stage", train_stage)
+        run_pipeline(small_run["config"], out)
+        assert (train_dir / ".done").exists()
+        assert tree_digest(out) == tree_digest(small_run["out"])
+        assert_no_child_left()
+
+    def test_global_importance_alone_stays_serial(self, small_run, monkeypatch):
+        """Only run_pipeline lets its stages fork: a library caller's process may hold threads."""
+        monkeypatch.setattr(forks, "_cpus", lambda: 2)
+        pids = count_forks(monkeypatch)
+        (prep,), (train,) = small_run["out"].glob("stages/prepare_*"), small_run["out"].glob("stages/train_*")
+        splits = px.pipeline.load_split(prep / "features.npz", prep / "features.meta.json")
+        report = px.global_importance(px.load_model(train / "model_rs.json"), splits["validation"].X[:4],
+                                      px.AttributionConfig(background=splits["train"].X[:20]))
+        assert report.phi.shape[0] == 4 and pids == []
 
 
 def test_stage_files_are_markers_json_npz_or_the_grade_csv(small_run):
