@@ -46,6 +46,7 @@ def _run(fn, items, first: int):
 def fork_map(fn, items) -> list:
     """A failing item raises as in the serial loop: the lowest index wins, with
     its own type if it survives a pickle round trip, else as a RuntimeError.
+    On Python 3.11+ one of its own type from the child notes the child's traceback.
     A child that cannot send its results (one is unpicklable, or it is killed)
     raises a RuntimeError naming its exit status."""
     global _may_fork
@@ -65,6 +66,10 @@ def fork_map(fn, items) -> list:
         try:
             os.close(r)
             done, failure = _run(fn, items, 1)
+            if failure and hasattr(failure[1], "add_note"):  # Python 3.11+; a pickle drops the traceback
+                import traceback
+
+                failure[1].add_note("In fork_map's child:\n" + "".join(traceback.format_exception(failure[1])))
             try:
                 pickle.loads(pickle.dumps(failure))
             except Exception:

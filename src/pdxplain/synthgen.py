@@ -109,7 +109,11 @@ def _sigmoid(z):
 
 
 class _Panel:
-    """All company-year arrays on the (n_companies, n_years) grid."""
+    """Company-year quantities at the filing cells only: company i's grid
+    years entry..last, company-major, each a 1-D array over the cells. Every
+    draw is still shaped like the (n_companies, n_years) grid and taken in the
+    same order; it is read at the cells and dropped, so each value is the one
+    the whole grid would hold."""
 
     def __init__(self, config: GeneratorConfig):
         rng = np.random.default_rng(config.seed)
@@ -123,50 +127,66 @@ class _Panel:
         self.entry = rng.integers(0, T - 1, size=n)
         span = 1 + rng.geometric(_SPAN_GEOMETRIC_P, size=n)
         self.last = self.entry + np.minimum(span, T - self.entry) - 1
+        # Cell k is company c[k] in grid year t[k]; company i's cells start at first[i].
+        spans = self.last - self.entry + 1
+        self.c = np.repeat(np.arange(n), spans)
+        first = np.cumsum(spans) - spans
+        self.t = np.arange(self.c.size) - first[self.c] + self.entry[self.c]
+        flat = self.c * T + self.t
+
+        def at_cells(grid):
+            return grid.reshape(-1).take(flat)
 
         self.country_idx = rng.choice(len(DEFAULT_COUNTRIES), size=n, p=COUNTRY_PROBS)
         self.incorporation = y0 + self.entry - rng.integers(1, 41, size=n)
         quality = rng.normal(0.0, 1.0, size=n)
 
         # Log-assets random walk over years y0-1 .. y1 (the extra leading
-        # column feeds previous_sales of the entry year).
+        # column feeds previous_sales of the entry year): cell k's year sits
+        # at flat + c + 1 of the (n, T+1) walk, the year before at flat + c.
         la0 = rng.normal(np.log(2e6), 1.2, size=n)
         steps = rng.normal(0.02, 0.18, size=(n, T))
-        log_assets = np.concatenate([la0[:, None], la0[:, None] + np.cumsum(steps, axis=1)], axis=1)
-        assets_ext = np.exp(log_assets)  # (n, T+1)
-        self.assets = assets_ext[:, 1:]
+        log_assets = np.concatenate([la0[:, None], la0[:, None] + np.cumsum(steps, axis=1)], axis=1).reshape(-1)
+        ext = flat + self.c
+        prev_assets = np.exp(log_assets.take(ext))
+        self.assets = np.exp(log_assets.take(ext + 1))
 
-        q = quality[:, None]
-        self.equity_frac = np.clip(0.32 + 0.10 * q + 0.06 * rng.normal(size=(n, T)), 0.02, 0.92)
+        q, q_grid = quality[self.c], quality[:, None]
+        self.equity_frac = np.clip(0.32 + 0.10 * q + 0.06 * at_cells(rng.normal(size=(n, T))), 0.02, 0.92)
         self.net_worth = self.assets * self.equity_frac
         self.liabilities = self.assets - self.net_worth
         self.financial_debt = self.liabilities * np.clip(
-            0.45 + 0.15 * rng.normal(size=(n, T)), 0.05, 0.95
+            0.45 + 0.15 * at_cells(rng.normal(size=(n, T))), 0.05, 0.95
         )
-        self.gross_margin = np.exp(rng.normal(np.log(0.11) + 0.07 * q, 0.45, size=(n, T)))
+        self.gross_margin = np.exp(at_cells(rng.normal(np.log(0.11) + 0.07 * q_grid, 0.45, size=(n, T))))
         self.gross_income = self.assets * self.gross_margin
 
-        log_turnover = rng.normal(np.log(1.05), 0.35, size=(n, T + 1))
-        sales_ext = assets_ext * np.exp(log_turnover)
-        self.sales = sales_ext[:, 1:]
-        self.prev_sales = sales_ext[:, :-1]
+        log_turnover = rng.normal(np.log(1.05), 0.35, size=(n, T + 1)).reshape(-1)
+        self.sales = self.assets * np.exp(log_turnover.take(ext + 1))
+        self.prev_sales = prev_assets * np.exp(log_turnover.take(ext))
 
-        self.tca = self.assets * np.clip(0.30 + 0.08 * q + 0.08 * rng.normal(size=(n, T)), 0.05, 0.90)
-        self.current_ratio = np.clip(np.exp(rng.normal(np.log(1.05) + 0.18 * q, 0.30, size=(n, T))), 0.2, 6.0)
+        self.tca = self.assets * np.clip(0.30 + 0.08 * q + 0.08 * at_cells(rng.normal(size=(n, T))), 0.05, 0.90)
+        log_ratio = at_cells(rng.normal(np.log(1.05) + 0.18 * q_grid, 0.30, size=(n, T)))
+        self.current_ratio = np.clip(np.exp(log_ratio), 0.2, 6.0)
         self.tcl = self.tca / self.current_ratio
-        self.cash = self.tca * np.clip(0.25 + 0.10 * rng.normal(size=(n, T)), 0.01, 0.90)
+        self.cash = self.tca * np.clip(0.25 + 0.10 * at_cells(rng.normal(size=(n, T))), 0.01, 0.90)
         self.working_capital = self.tca - self.tcl
-        self.net_income = self.sales * (0.025 + 0.03 * q + rng.normal(0.0, 0.05, size=(n, T)))
+        self.net_income = self.sales * (0.025 + 0.03 * q + at_cells(rng.normal(0.0, 0.05, size=(n, T))))
         self.employees = np.maximum(
-            1, np.round(self.assets / 2e5 * np.exp(rng.normal(0.0, 0.4, size=(n, T))))
+            1, np.round(self.assets / 2e5 * np.exp(at_cells(rng.normal(0.0, 0.4, size=(n, T)))))
         )
 
         self.score = self._score()
-        self.default_uniforms = rng.random((n, T))
-        self.gather_window()
+        # The draw window: every cell but each company's first, with its uniform and
+        # signal_strength times the previous cell's score (the draw for year t reads t-1's).
+        window = np.ones(self.c.size, dtype=bool)
+        window[first] = False
+        self.win_c, self.win_t = self.c[window], self.t[window]
+        self.win_u = at_cells(rng.random((n, T)))[window]
+        self.win_s = config.signal_strength * self.score[np.flatnonzero(window) - 1]
 
         self.masks = {
-            name: rng.random((n, T)) < config.missing_rates[name]
+            name: at_cells(rng.random((n, T))) < config.missing_rates[name]
             for name in sorted(config.missing_rates)
             if config.missing_rates[name] > 0
         }
@@ -174,7 +194,7 @@ class _Panel:
     def _score(self) -> np.ndarray:
         """Planted default score from the true year-t ratios, squashed to
         O(1) per ratio with fixed centers and scales."""
-        tib = self.years[None, :] - self.incorporation[:, None]
+        tib = self.years[self.t] - self.incorporation[self.c]
         z = {
             "r1_solvency": (self.equity_frac - 0.32) / 0.12,
             "r2_solvency": (self.financial_debt / self.gross_income - 3.0) / 2.5,
@@ -186,20 +206,11 @@ class _Panel:
             "time_in_business": (tib - 20.0) / 12.0,
             "sales_evolution": 2.5 * np.tanh((self.sales - self.prev_sales) / 3e5),
         }
-        score = np.zeros((self.n, self.T))
+        score = np.zeros(self.c.size)
         for name, weight in RATIO_WEIGHTS.items():
             score += weight * np.clip(z[name], -3.0, 3.0)
         effects = np.array([COUNTRY_EFFECT[c] for c in DEFAULT_COUNTRIES])
-        return score + effects[self.country_idx][:, None]
-
-    def gather_window(self) -> None:
-        """Collect the draw window, company-major: years after entry up to the
-        last filing year, with their uniforms and signal_strength times the
-        score of the year before (the draw for year t reads the score at t-1)."""
-        cols = np.arange(self.T)[None, :]
-        self.win_c, self.win_t = np.nonzero((cols > self.entry[:, None]) & (cols <= self.last[:, None]))
-        self.win_u = self.default_uniforms[self.win_c, self.win_t]
-        self.win_s = self.config.signal_strength * self.score[self.win_c, self.win_t - 1]
+        return score + effects[self.country_idx[self.c]]
 
     def default_year(self, intercept: float) -> np.ndarray:
         """First grid index where the default draw fires, -1 if never; the
@@ -261,10 +272,9 @@ def generate_statements(config: GeneratorConfig) -> tuple[Statements, SynthOracl
     D = panel.default_year(intercept)
     end = np.where(D >= 0, D, panel.last)
 
-    # The kept (company, year) cells: company i repeated over entry..end.
-    spans = end - panel.entry + 1
-    company = np.repeat(np.arange(config.n_companies), spans)
-    t = np.arange(company.size) - np.repeat(np.cumsum(spans) - spans, spans) + panel.entry[company]
+    # The kept cells: each company's leading cells, up to its year end.
+    kept = panel.t <= end[panel.c]
+    company, t = panel.c[kept], panel.t[kept]
 
     id_width = len(str(config.n_companies))
     ids = np.array([f"C{i:0{id_width}d}" for i in range(config.n_companies)])
@@ -274,23 +284,23 @@ def generate_statements(config: GeneratorConfig) -> tuple[Statements, SynthOracl
         "out_of_business": t == D[company],
         "country_code": np.array(DEFAULT_COUNTRIES)[panel.country_idx[company]],
         "incorporation_year": panel.incorporation[company],
-        "total_employees": panel.employees[company, t],
-        "net_worth": panel.net_worth[company, t],
-        "total_assets": panel.assets[company, t],
-        "gross_income": panel.gross_income[company, t],
-        "total_liabilities": panel.liabilities[company, t],
-        "current_ratio": panel.current_ratio[company, t],
-        "cash_liquid_assets": panel.cash[company, t],
-        "sales": panel.sales[company, t],
-        "working_capital": panel.working_capital[company, t],
-        "net_income": panel.net_income[company, t],
-        "previous_sales": panel.prev_sales[company, t],
-        "financial_debt": panel.financial_debt[company, t],
-        "total_current_assets": panel.tca[company, t],
-        "total_current_liabilities": panel.tcl[company, t],
+        "total_employees": panel.employees[kept],
+        "net_worth": panel.net_worth[kept],
+        "total_assets": panel.assets[kept],
+        "gross_income": panel.gross_income[kept],
+        "total_liabilities": panel.liabilities[kept],
+        "current_ratio": panel.current_ratio[kept],
+        "cash_liquid_assets": panel.cash[kept],
+        "sales": panel.sales[kept],
+        "working_capital": panel.working_capital[kept],
+        "net_income": panel.net_income[kept],
+        "previous_sales": panel.prev_sales[kept],
+        "financial_debt": panel.financial_debt[kept],
+        "total_current_assets": panel.tca[kept],
+        "total_current_liabilities": panel.tcl[kept],
     }
     missing = {
-        name: panel.masks[name][company, t] if name in panel.masks else np.zeros(company.size, dtype=bool)
+        name: panel.masks[name][kept] if name in panel.masks else np.zeros(company.size, dtype=bool)
         for name in _KINDS
     }
 
@@ -298,7 +308,7 @@ def generate_statements(config: GeneratorConfig) -> tuple[Statements, SynthOracl
     oracle = SynthOracle(
         company_ids=ids[company[live]].tolist(),
         years=panel.years[t[live]],
-        propensity=_sigmoid(intercept + config.signal_strength * panel.score[company[live], t[live]]),
+        propensity=_sigmoid(intercept + config.signal_strength * panel.score[kept][live]),
         intercept=float(intercept),
         realized_rate=realized,
         target_rate=target,

@@ -192,6 +192,7 @@ class _Builder:
         self.counted = counted
         self.side = np.empty(XT.shape[1], dtype=bool)  # scratch: row goes left
         self.flat_x, self.n = XT.ravel(), XT.shape[1]
+        self.run = np.empty(allowed.size * self.n)  # scratch: a node's sorted values, then prefix sums
         self.n_draw = 0  # features drawn per split; 0 searches every allowed one
         if config.feature_subsample_fraction < 1.0:
             self.n_draw = max(1, int(np.ceil(config.feature_subsample_fraction * allowed.size)))
@@ -246,8 +247,10 @@ class _Builder:
         then the lowest threshold.
         """
         cfg = self.cfg
-        m = order.shape[1]
-        xs = self.flat_x.take(order + self.n * feats[:, None])  # (f, m) sorted values
+        f, m = order.shape
+        run = self.run[: f * m].reshape(f, m)
+        # mode="clip" lets take write into out unbuffered; every index is in range.
+        xs = self.flat_x.take(order + self.n * feats[:, None], out=run, mode="clip")  # sorted values
         # Candidate i puts sorted positions 0..i left. Gains are scored only
         # where the sorted value changes; the flat order stays feature-major.
         valid = np.zeros(order.shape, dtype=bool)
@@ -259,8 +262,12 @@ class _Builder:
         cand = np.flatnonzero(valid)
         if not cand.size:
             return None
-        al = self.s1.take(order).cumsum(axis=1).take(cand)
-        bl = self.s2.take(order).cumsum(axis=1).take(cand)
+        # Each mass in sorted order, summed in place over xs. The gains are then
+        # computed in place over the candidates' sums, with the same operations:
+        # freed row-sized temporaries went back to the OS and were faulted in
+        # again at the next node.
+        al = self.s1.take(order, out=run, mode="clip").cumsum(axis=1, out=run).take(cand)
+        bl = self.s2.take(order, out=run, mode="clip").cumsum(axis=1, out=run).take(cand)
         ar = t1 - al
         br = t2 - bl
 
@@ -270,25 +277,41 @@ class _Builder:
                 # maximizing -(children impurity) is equivalent, but keep the
                 # full gain for the positive-gain stopping rule.
                 parent = _gini_term(t1, t2)
-                gain = parent - _gini_term(al, bl) - _gini_term(ar, br)
+                tmp = np.empty_like(al)
+                gain = np.subtract(parent, _gini_term(al, bl, tmp), out=al)
+                gain -= _gini_term(ar, br, tmp)
                 floor = 1e-12  # guard float noise on pure nodes
             else:
+                # 0.5 * (al * al / (bl + lam) + ar * ar / (br + lam) - parent) - gamma
                 parent = t1 * t1 / (t2 + cfg.lam)
-                gain = 0.5 * (al * al / (bl + cfg.lam) + ar * ar / (br + cfg.lam) - parent) - cfg.gamma
+                gain = np.multiply(al, al, out=al)
+                gain /= np.add(bl, cfg.lam, out=bl)
+                np.multiply(ar, ar, out=ar)
+                gain += np.divide(ar, np.add(br, cfg.lam, out=br), out=ar)
+                gain -= parent
+                gain *= 0.5
+                gain -= cfg.gamma
                 floor = 0.0
-        gain = np.where(np.isfinite(gain), gain, -np.inf)
+        gain[~np.isfinite(gain)] = -np.inf
 
         k = gain.argmax()  # first maximum: lowest feature, then lowest threshold
         if not np.isfinite(gain[k]) or gain[k] <= floor:
             return None
         f, i = divmod(int(cand[k]), m)
-        threshold = 0.5 * (xs[f, i] + xs[f, i + 1])
+        x = self.XT[feats[f]]  # xs[f] was overwritten
+        threshold = 0.5 * (x[order[f, i]] + x[order[f, i + 1]])
         return int(feats[f]), float(threshold)
 
 
-def _gini_term(s1, s2):
-    # Weighted impurity mass: s2 * 2p(1-p) with p = s1/s2.
-    return 2.0 * s1 * (s2 - s1) / s2
+def _gini_term(s1, s2, tmp=None):
+    # Weighted impurity mass: s2 * 2p(1-p) with p = s1/s2; given tmp, written over the array s1.
+    if tmp is None:
+        return 2.0 * s1 * (s2 - s1) / s2
+    np.subtract(s2, s1, out=tmp)
+    s1 *= 2.0
+    s1 *= tmp
+    s1 /= s2
+    return s1
 
 
 def predict_many(node: TreeNode, X: np.ndarray) -> np.ndarray:
@@ -300,6 +323,8 @@ def predict_many(node: TreeNode, X: np.ndarray) -> np.ndarray:
 
 
 def _route(node, X, idx, out):
+    if not idx.size:  # no row reaches this subtree
+        return
     if node.is_leaf:
         out[idx] = node.value
         return

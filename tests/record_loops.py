@@ -1,7 +1,9 @@
 """Record-at-a-time reference versions of the column code in ``dataprep`` and
 ``synthgen``: the loops the package used before its rules ran over whole
-columns. Also the default draw on the whole company x year grid, before it
-ran on the draw window's cells alone, the random forest fit on bootstrap
+columns. Also the generator's panel on the whole company x year grid
+(``GridPanel``, with ``generate_on_grid``), before it kept only the filing
+cells, and the default draw on that grid, before it ran on the draw window's
+cells alone; the random forest fit on bootstrap
 rows repeated, before it fit on bootstrap counts, and SMOTE's neighbor search
 over every pair's distance tensor with a full stable sort, before it
 re-checked only the candidates of a GEMM prefilter, and the intercept
@@ -32,9 +34,13 @@ from pdxplain.models import RFParams, TreeEnsembleModel
 from pdxplain.synthgen import (
     _BISECT_HI,
     _BISECT_LO,
+    _SPAN_GEOMETRIC_P,
+    COUNTRY_EFFECT,
+    COUNTRY_PROBS,
+    RATIO_WEIGHTS,
     GenerationError,
+    GeneratorConfig,
     SynthOracle,
-    _Panel,
     _sigmoid,
 )
 from pdxplain.trees import GINI, TreeConfig, fit_tree
@@ -238,6 +244,118 @@ def default_rate_report(records):
     return report
 
 
+class GridPanel:
+    """All company-year arrays on the (n_companies, n_years) grid: the
+    generator's panel before it kept only the filing cells."""
+
+    def __init__(self, config: GeneratorConfig):
+        rng = np.random.default_rng(config.seed)
+        n = config.n_companies
+        y0, y1 = config.year_range
+        T = y1 - y0 + 1
+        self.config = config
+        self.years = np.arange(y0, y1 + 1)
+        self.n, self.T = n, T
+
+        self.entry = rng.integers(0, T - 1, size=n)
+        span = 1 + rng.geometric(_SPAN_GEOMETRIC_P, size=n)
+        self.last = self.entry + np.minimum(span, T - self.entry) - 1
+
+        self.country_idx = rng.choice(len(DEFAULT_COUNTRIES), size=n, p=COUNTRY_PROBS)
+        self.incorporation = y0 + self.entry - rng.integers(1, 41, size=n)
+        quality = rng.normal(0.0, 1.0, size=n)
+
+        # Log-assets random walk over years y0-1 .. y1 (the extra leading
+        # column feeds previous_sales of the entry year).
+        la0 = rng.normal(np.log(2e6), 1.2, size=n)
+        steps = rng.normal(0.02, 0.18, size=(n, T))
+        log_assets = np.concatenate([la0[:, None], la0[:, None] + np.cumsum(steps, axis=1)], axis=1)
+        assets_ext = np.exp(log_assets)  # (n, T+1)
+        self.assets = assets_ext[:, 1:]
+
+        q = quality[:, None]
+        self.equity_frac = np.clip(0.32 + 0.10 * q + 0.06 * rng.normal(size=(n, T)), 0.02, 0.92)
+        self.net_worth = self.assets * self.equity_frac
+        self.liabilities = self.assets - self.net_worth
+        self.financial_debt = self.liabilities * np.clip(
+            0.45 + 0.15 * rng.normal(size=(n, T)), 0.05, 0.95
+        )
+        self.gross_margin = np.exp(rng.normal(np.log(0.11) + 0.07 * q, 0.45, size=(n, T)))
+        self.gross_income = self.assets * self.gross_margin
+
+        log_turnover = rng.normal(np.log(1.05), 0.35, size=(n, T + 1))
+        sales_ext = assets_ext * np.exp(log_turnover)
+        self.sales = sales_ext[:, 1:]
+        self.prev_sales = sales_ext[:, :-1]
+
+        self.tca = self.assets * np.clip(0.30 + 0.08 * q + 0.08 * rng.normal(size=(n, T)), 0.05, 0.90)
+        self.current_ratio = np.clip(np.exp(rng.normal(np.log(1.05) + 0.18 * q, 0.30, size=(n, T))), 0.2, 6.0)
+        self.tcl = self.tca / self.current_ratio
+        self.cash = self.tca * np.clip(0.25 + 0.10 * rng.normal(size=(n, T)), 0.01, 0.90)
+        self.working_capital = self.tca - self.tcl
+        self.net_income = self.sales * (0.025 + 0.03 * q + rng.normal(0.0, 0.05, size=(n, T)))
+        self.employees = np.maximum(
+            1, np.round(self.assets / 2e5 * np.exp(rng.normal(0.0, 0.4, size=(n, T))))
+        )
+
+        self.score = self._score()
+        self.default_uniforms = rng.random((n, T))
+        self.gather_window()
+
+        self.masks = {
+            name: rng.random((n, T)) < config.missing_rates[name]
+            for name in sorted(config.missing_rates)
+            if config.missing_rates[name] > 0
+        }
+
+    def _score(self) -> np.ndarray:
+        """Planted default score from the true year-t ratios, squashed to
+        O(1) per ratio with fixed centers and scales."""
+        tib = self.years[None, :] - self.incorporation[:, None]
+        z = {
+            "r1_solvency": (self.equity_frac - 0.32) / 0.12,
+            "r2_solvency": (self.financial_debt / self.gross_income - 3.0) / 2.5,
+            "r1_liquidity": (self.current_ratio - 1.1) / 0.5,
+            "r2_liquidity": (self.cash / self.sales - 0.07) / 0.06,
+            "r1_profitability": (self.working_capital / self.sales - 0.01) / 0.12,
+            "r2_profitability": 2.5 * np.tanh(self.net_income / 2e5),
+            "r3_profitability": (self.gross_margin - 0.12) / 0.07,
+            "time_in_business": (tib - 20.0) / 12.0,
+            "sales_evolution": 2.5 * np.tanh((self.sales - self.prev_sales) / 3e5),
+        }
+        score = np.zeros((self.n, self.T))
+        for name, weight in RATIO_WEIGHTS.items():
+            score += weight * np.clip(z[name], -3.0, 3.0)
+        effects = np.array([COUNTRY_EFFECT[c] for c in DEFAULT_COUNTRIES])
+        return score + effects[self.country_idx][:, None]
+
+    def gather_window(self) -> None:
+        """Collect the draw window, company-major: years after entry up to the
+        last filing year, with their uniforms and signal_strength times the
+        score of the year before (the draw for year t reads the score at t-1)."""
+        cols = np.arange(self.T)[None, :]
+        self.win_c, self.win_t = np.nonzero((cols > self.entry[:, None]) & (cols <= self.last[:, None]))
+        self.win_u = self.default_uniforms[self.win_c, self.win_t]
+        self.win_s = self.config.signal_strength * self.score[self.win_c, self.win_t - 1]
+
+    def default_year(self, intercept: float) -> np.ndarray:
+        """First grid index where the default draw fires, -1 if never; the
+        draw runs on the window cells only."""
+        hit = self.win_u < _sigmoid(intercept + self.win_s)
+        c, t = self.win_c[hit], self.win_t[hit]
+        first = np.diff(c, prepend=-1) != 0  # cells run by company, then year
+        D = np.full(self.n, -1)
+        D[c[first]] = t[first]
+        return D
+
+    def labeled_rate(self, intercept: float) -> float:
+        """Fraction of labeled rows with label 1, under this intercept."""
+        D = self.default_year(intercept)
+        end = np.where(D >= 0, D, self.last)
+        pairs = (end - self.entry).sum()
+        return float((D >= 0).sum() / pairs)
+
+
 def default_year(panel, intercept):
     """First grid index where the default draw fires, -1 if never, drawn on
     the whole company x year grid and masked to the window: years strictly
@@ -279,7 +397,7 @@ def calibrate_intercept(panel):
 
 
 def generate_with_oracle(config):
-    panel = _Panel(config)
+    panel = GridPanel(config)
     intercept, _ = calibrate_intercept(panel)
     realized = labeled_rate(panel, intercept)
     target = config.target_rate
@@ -344,6 +462,73 @@ def generate_with_oracle(config):
         target_rate=target,
     )
     return records, oracle
+
+
+def generate_on_grid(config):
+    """``synthgen.generate_statements`` on the grid panel, with the full
+    80-step bisection.
+
+    Company i files for grid years entry..end, where end is its default
+    year or its last filing year; rows run by company, then year. The
+    oracle rows are the same cells with t < end.
+    """
+    panel = GridPanel(config)
+    intercept, _ = calibrate_intercept(panel)
+    realized = panel.labeled_rate(intercept)
+    target = config.target_rate
+    if abs(realized - target) > 0.2 * target:
+        raise GenerationError(
+            f"calibration landed at {realized:.4%}, outside 20% relative of "
+            f"the {target:.4%} target; the panel is too small for this "
+            f"imbalance_ratio"
+        )
+
+    D = panel.default_year(intercept)
+    end = np.where(D >= 0, D, panel.last)
+
+    # The kept (company, year) cells: company i repeated over entry..end.
+    spans = end - panel.entry + 1
+    company = np.repeat(np.arange(config.n_companies), spans)
+    t = np.arange(company.size) - np.repeat(np.cumsum(spans) - spans, spans) + panel.entry[company]
+
+    id_width = len(str(config.n_companies))
+    ids = np.array([f"C{i:0{id_width}d}" for i in range(config.n_companies)])
+    values = {
+        "company_id": ids[company],
+        "statement_year": panel.years[t],
+        "out_of_business": t == D[company],
+        "country_code": np.array(DEFAULT_COUNTRIES)[panel.country_idx[company]],
+        "incorporation_year": panel.incorporation[company],
+        "total_employees": panel.employees[company, t],
+        "net_worth": panel.net_worth[company, t],
+        "total_assets": panel.assets[company, t],
+        "gross_income": panel.gross_income[company, t],
+        "total_liabilities": panel.liabilities[company, t],
+        "current_ratio": panel.current_ratio[company, t],
+        "cash_liquid_assets": panel.cash[company, t],
+        "sales": panel.sales[company, t],
+        "working_capital": panel.working_capital[company, t],
+        "net_income": panel.net_income[company, t],
+        "previous_sales": panel.prev_sales[company, t],
+        "financial_debt": panel.financial_debt[company, t],
+        "total_current_assets": panel.tca[company, t],
+        "total_current_liabilities": panel.tcl[company, t],
+    }
+    missing = {
+        name: panel.masks[name][company, t] if name in panel.masks else np.zeros(company.size, dtype=bool)
+        for name in _KINDS
+    }
+
+    live = t < end[company]
+    oracle = SynthOracle(
+        company_ids=ids[company[live]].tolist(),
+        years=panel.years[t[live]],
+        propensity=_sigmoid(intercept + config.signal_strength * panel.score[company[live], t[live]]),
+        intercept=float(intercept),
+        realized_rate=realized,
+        target_rate=target,
+    )
+    return Statements(values, missing), oracle
 
 
 _STR_FIELDS = {"company_id", "country_code"}

@@ -132,14 +132,32 @@ class TestGeneratedPanels:
             assert back.X.flags.c_contiguous
 
 
-def draw_panel(n_companies, imbalance, seed):
-    return _Panel(px.GeneratorConfig(n_companies=n_companies, year_range=(2004, 2018),
-                                     imbalance_ratio=imbalance, seed=seed))
+def draw_panels(n_companies, imbalance, seed):
+    """The package's panel and the grid panel of one config."""
+    config = px.GeneratorConfig(n_companies=n_companies, year_range=(2004, 2018),
+                                imbalance_ratio=imbalance, seed=seed)
+    return _Panel(config), ref.GridPanel(config)
 
 
-def assert_same_draw(panel, intercept):
-    np.testing.assert_array_equal(panel.default_year(intercept), ref.default_year(panel, intercept))
-    assert panel.labeled_rate(intercept) == ref.labeled_rate(panel, intercept)
+def assert_same_draw(panel, grid, intercept):
+    np.testing.assert_array_equal(panel.default_year(intercept), ref.default_year(grid, intercept))
+    assert panel.labeled_rate(intercept) == ref.labeled_rate(grid, intercept)
+
+
+class SingleStatementRng:
+    """numpy's generator, except that every third company's filing span
+    draw is 0: those companies file one statement (entry == last)."""
+
+    def __init__(self, seed):
+        self.rng = np.random.Generator(np.random.PCG64(seed))
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+    def geometric(self, p, size):
+        draw = self.rng.geometric(p, size=size)
+        draw[::3] = 0
+        return draw
 
 
 class TestDefaultDraw:
@@ -156,32 +174,33 @@ class TestDefaultDraw:
         (3000, 12.0, 99, "-0x1.a21f8c68a7ff7p+1"),
     ])
     def test_every_visited_intercept_matches_the_full_grid(self, n_companies, imbalance, seed, pinned):
-        panel = draw_panel(n_companies, imbalance, seed)
-        intercept, visited = ref.calibrate_intercept(panel)
+        panel, grid = draw_panels(n_companies, imbalance, seed)
+        intercept, visited = ref.calibrate_intercept(grid)
         assert len(visited) == 82
         for b in visited:
-            assert_same_draw(panel, b)
+            assert_same_draw(panel, grid, b)
         assert intercept.hex() == _calibrate_intercept(panel).hex() == pinned
 
     @pytest.mark.parametrize("intercept", [-500.0, 500.0, -3.0], ids=["none_fire", "all_fire_first", "mixed"])
-    def test_single_statement_companies_never_default(self, intercept):
-        panel = draw_panel(600, 12.0, 5)
+    def test_single_statement_companies_never_default(self, intercept, monkeypatch):
+        monkeypatch.setattr(np.random, "default_rng", SingleStatementRng)
+        panel, grid = draw_panels(600, 12.0, 5)
         single = np.arange(panel.n) % 3 == 0
-        panel.last[single] = panel.entry[single]  # entry == last: an empty draw window
-        panel.gather_window()
+        assert (panel.last[single] == panel.entry[single]).all()  # an empty draw window
+        assert (np.bincount(panel.c, minlength=panel.n)[single] == 1).all()
         assert not np.isin(panel.win_c, np.flatnonzero(single)).any()
-        assert_same_draw(panel, intercept)
+        assert_same_draw(panel, grid, intercept)
         assert (panel.default_year(intercept)[single] == -1).all()
 
     def test_no_cell_fires(self):
-        panel = draw_panel(600, 12.0, 5)
+        panel, grid = draw_panels(600, 12.0, 5)
         assert (panel.default_year(-500.0) == -1).all()
-        assert panel.labeled_rate(-500.0) == ref.labeled_rate(panel, -500.0) == 0.0
+        assert panel.labeled_rate(-500.0) == ref.labeled_rate(grid, -500.0) == 0.0
 
     def test_every_company_defaults_in_its_first_window_year(self):
-        panel = draw_panel(600, 12.0, 5)
+        panel, grid = draw_panels(600, 12.0, 5)
         np.testing.assert_array_equal(panel.default_year(500.0), panel.entry + 1)
-        assert panel.labeled_rate(500.0) == ref.labeled_rate(panel, 500.0) == 1.0
+        assert panel.labeled_rate(500.0) == ref.labeled_rate(grid, 500.0) == 1.0
 
 
 def workload_generators():
@@ -211,12 +230,41 @@ class TestBisectionFixedPoint:
     @pytest.mark.parametrize("config", workload_generators() + EDGE_GENERATORS)
     def test_same_intercept_as_eighty_steps(self, config, monkeypatch):
         panel = _Panel(config)
-        want, _ = ref.calibrate_intercept(panel)
+        want, _ = ref.calibrate_intercept(ref.GridPanel(config))
         calls = []
         rate = panel.labeled_rate
         monkeypatch.setattr(panel, "labeled_rate", lambda b: calls.append(b) or rate(b))
         assert _calibrate_intercept(panel).hex() == want.hex()
         assert len(calls) < 82
+
+
+class TestFilingCells:
+    """The panel kept at its filing cells against the grid panel it
+    replaced: the same Statements bytes and the same oracle."""
+
+    @pytest.mark.parametrize("config", [p for p in workload_generators() if p.id.startswith("demo_gbt")] + [
+        pytest.param(px.GeneratorConfig(n_companies=4000, year_range=(2004, 2018), imbalance_ratio=12.0, seed=3),
+                     id="4000_companies"),
+        *(p for p in EDGE_GENERATORS if p.id != "no_signal"),
+        pytest.param(px.GeneratorConfig(n_companies=3000, year_range=(2004, 2018), imbalance_ratio=12.0, seed=11,
+                                        missing_rates={"sales": 0.05, "net_income": 0.02, "country_code": 0.1}),
+                     id="missing"),
+    ])
+    def test_same_bytes_as_the_grid(self, config):
+        got, got_oracle = px.generate_statements(config)
+        want, want_oracle = ref.generate_on_grid(config)
+        assert set(got.values) == set(got.missing) == set(want.values) == set(want.missing)
+        for name in want.values:
+            for a, b in ((got.values[name], want.values[name]), (got.missing[name], want.missing[name])):
+                assert a.dtype == b.dtype and a.shape == b.shape, name
+                assert a.tobytes() == b.tobytes(), name
+        assert got_oracle.company_ids == want_oracle.company_ids
+        for name in ("years", "propensity"):
+            a, b = getattr(got_oracle, name), getattr(want_oracle, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert got_oracle.intercept.hex() == want_oracle.intercept.hex()
+        assert (got_oracle.realized_rate, got_oracle.target_rate) == (want_oracle.realized_rate,
+                                                                       want_oracle.target_rate)
 
 
 class TestQuotedText:

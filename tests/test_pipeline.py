@@ -5,6 +5,7 @@ import os
 import re
 import runpy
 import shutil
+import sys
 import zipfile
 from pathlib import Path
 
@@ -692,6 +693,9 @@ class TestForkedWork:
             run_pipeline(small_run["config"], out)
         assert info.value.stage == "train" and isinstance(info.value.cause, ValueError)
         assert str(info.value.cause) == f"no WRS fit in pid {pids[0]}"  # raised in the child
+        if sys.version_info >= (3, 11):  # the child's traceback comes back as a note
+            (note,) = info.value.cause.__notes__
+            assert ", in fail_wrs\n" in note and 'raise ValueError(f"no WRS fit in pid' in note
         assert not (train_dir / ".done").exists()
         assert_no_child_left()
         monkeypatch.setattr(px.pipeline, "train_stage", train_stage)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -165,6 +167,21 @@ class TestPanelShape:
         assert "company_id" not in MASKABLE_FIELDS
         assert "statement_year" not in MASKABLE_FIELDS
         assert "out_of_business" not in MASKABLE_FIELDS
+
+
+class TestMemory:
+    def test_peak_is_at_most_four_times_the_columns(self):
+        """The generator holds its quantities at the filing cells, not on the
+        company x year grid (7.7 times the columns' bytes on the grid)."""
+        config = px.GeneratorConfig(n_companies=4000, year_range=(2004, 2018), imbalance_ratio=12.0, seed=3)
+        tracemalloc.start()
+        try:
+            st, _ = px.generate_statements(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        columns = sum(a.nbytes for a in (*st.values.values(), *st.missing.values()))
+        assert peak <= 4 * columns
 
 
 class TestDefaultRateReport:

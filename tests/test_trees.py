@@ -143,6 +143,15 @@ class TestSecondOrderFit:
         tree = fit_tree(X, (g, h), TreeConfig(max_depth=1, criterion=SECOND_ORDER, lam=1.0))
         assert tree.feature == 1
 
+    def test_non_finite_gains_are_never_chosen(self):
+        # lam 0 and a zero hessian: the first candidate's gain is G^2/0 = inf,
+        # the finite best puts rows 0 and 1 left (gain 3 against 0.75).
+        X = np.array([[0.0], [1.0], [2.0], [3.0]])
+        g = np.array([1.0, 1.0, -1.0, -1.0])
+        h = np.array([0.0, 1.0, 1.0, 1.0])
+        tree = fit_tree(X, (g, h), TreeConfig(max_depth=1, criterion=SECOND_ORDER, lam=0.0))
+        assert (tree.feature, tree.threshold) == (0, 1.5)
+
     def test_negative_hessian_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
             fit_tree(np.zeros((2, 1)), (np.ones(2), np.array([1.0, -1.0])),
@@ -178,6 +187,22 @@ class TestPredict:
         np.testing.assert_array_equal(
             predict_many(tree, probe), [predict_many(tree, r[None, :])[0] for r in probe]
         )
+
+    @pytest.mark.parametrize("kind, params", [
+        ("adaboost", {"n_estimators": 20}),
+        ("rf", {"n_estimators": 8}),
+        ("gbt", {"n_estimators": 8, "max_depth": 6}),
+    ])
+    @pytest.mark.parametrize("n_rows", [1, 25, 100])
+    def test_ensemble_trees_equal_a_walk_of_one_row_at_a_time(self, small_panel, kind, params, n_rows):
+        split = small_panel["prep"].split
+        model = models.fit(kind, split.train, params, seed=3)
+        probe = split.validation.X[:n_rows]
+        assert len(probe) == n_rows
+        for tree in model.trees:
+            doc = tree_to_dict(tree)
+            want = np.array([walk_serialized(doc, row) for row in probe])
+            assert predict_many(tree, probe).tobytes() == want.tobytes()
 
 
 class TestConfigAndErrors:
