@@ -85,8 +85,8 @@ def _cmd_prepare(args) -> int:
     prep = prepare_stage(statements, parse_section("split", doc), countries, args.out, meta_path)
     print(
         f"wrote {prep.features.n} feature rows to {args.out} "
-        f"(train {prep.split.train.n} / test {prep.split.test.n} / "
-        f"validation {prep.split.validation.n}; rejections {prep.rejection_counts()})"
+        f"(train {prep.split.train_indices.size} / test {prep.split.test_indices.size} / "
+        f"validation {prep.split.validation_indices.size}; rejections {prep.rejection_counts()})"
     )
     return 0
 

@@ -264,13 +264,19 @@ class FeatureMatrix:
 
 @dataclass
 class SplitResult:
-    train: FeatureMatrix
-    test: FeatureMatrix
-    validation: FeatureMatrix
+    """The year-based split as row indices into one ``features`` matrix.
+    ``train``, ``test`` and ``validation`` build their rows from it on each
+    read; the split itself holds no copy of them."""
+
+    features: FeatureMatrix
     train_indices: np.ndarray
     test_indices: np.ndarray
     validation_indices: np.ndarray
     out_of_range: int = 0
+
+    train = property(lambda self: self.features.subset(self.train_indices))
+    test = property(lambda self: self.features.subset(self.test_indices))
+    validation = property(lambda self: self.features.subset(self.validation_indices))
 
 
 def label_statements(st: Statements) -> tuple[np.ndarray, np.ndarray]:
@@ -440,21 +446,9 @@ def split(fm: FeatureMatrix, spec: SplitSpec) -> SplitResult:
     rng = np.random.default_rng(spec.seed)
     perm = pool[rng.permutation(pool.size)]
     n_test = int(round(spec.test_fraction * pool.size))
-    test_idx = perm[:n_test]
-    train_idx = perm[n_test:]
-    val_idx = np.flatnonzero(in_val_years)
-    if train_idx.size == 0:
+    if n_test == pool.size:
         raise ValueError("split produced an empty training set")
-
-    return SplitResult(
-        train=fm.subset(train_idx),
-        test=fm.subset(test_idx),
-        validation=fm.subset(val_idx),
-        train_indices=train_idx,
-        test_indices=test_idx,
-        validation_indices=val_idx,
-        out_of_range=out_of_range,
-    )
+    return SplitResult(fm, perm[n_test:], perm[:n_test], np.flatnonzero(in_val_years), out_of_range)
 
 
 def fit_scaler(train: FeatureMatrix) -> ScalerParams:
@@ -513,25 +507,17 @@ def prepare(
     """Full preparation pass: label, derive features, split, and scale.
 
     The scaler is fitted on the training split only and then applied to all
-    rows, so test and validation never leak into the statistics.
+    rows, so test and validation never leak into the statistics; the split
+    then indexes the scaled matrix.
     """
     rows, labels = label_statements(statements)
     fm, rejections = statement_features(statements, rows, labels, countries)
     sp = split(fm, spec)
     scaler = fit_scaler(sp.train)
-    scaled = apply_scaler(scaler, fm)
-    sp_scaled = SplitResult(
-        train=scaled.subset(sp.train_indices),
-        test=scaled.subset(sp.test_indices),
-        validation=scaled.subset(sp.validation_indices),
-        train_indices=sp.train_indices,
-        test_indices=sp.test_indices,
-        validation_indices=sp.validation_indices,
-        out_of_range=sp.out_of_range,
-    )
+    sp.features = apply_scaler(scaler, fm)
     return PrepareResult(
-        features=scaled,
-        split=sp_scaled,
+        features=sp.features,
+        split=sp,
         scaler=scaler,
         countries=list(countries),
         rejections=rejections,

@@ -261,13 +261,13 @@ def read_json(path):
 
 def load_split(features_path, meta_path=None) -> dict:
     """The prepared matrix as ``all``; given the prepare sidecar, also the
-    sidecar as ``meta`` and its ``train``/``test``/``validation`` slices."""
+    ``train``/``test``/``validation`` slices it names."""
     fm = FeatureMatrix.load(features_path)
     out = {"all": fm}
     if meta_path is not None:
-        out["meta"] = meta = read_json(meta_path)
+        split = read_json(meta_path)["split"]
         for name in ("train", "test", "validation"):
-            out[name] = fm.subset(np.asarray(meta["split"][name], dtype=int))
+            out[name] = fm.subset(np.asarray(split[name], dtype=int))
     return out
 
 
@@ -429,7 +429,7 @@ def run_pipeline(config: RunConfig, out_dir) -> dict:
     def _prepare(d: Path):
         prep = prepare_stage(Statements.load(gen_dir / "data.npz"), config.split, config.countries,
                              d / "features.npz", d / "features.meta.json")
-        if not prep.split.validation.n:  # evaluate and map-grades score it
+        if not prep.split.validation_indices.size:  # evaluate and map-grades score it
             low, high = config.split.validation_years
             raise ValueError(f"validation years {low}-{high} hold no rows")
     prep_dir = run_stage("prepare", {"split": doc["split"], "countries": doc["countries"]}, [gen_dir], _prepare)

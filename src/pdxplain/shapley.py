@@ -13,9 +13,7 @@ reach and the coalitions that reach each, and the ensemble's link is applied
 per background row before the mean, so the values are exact on the
 probability output, not on the margin. Any other model goes through the
 enumerator (``_coalition_values``), which evaluates every hybrid row with
-the model. Its rows are built column-major: a block of coalitions is a
-(d, coalitions, n_background) array handed to the model as its (rows, d)
-transposed view, in the same row order.
+the model.
 
 One-hot country columns can be collapsed into a single "country_code"
 player, which is what the expert-alignment comparison expects.
@@ -39,7 +37,6 @@ from .trees import tree_to_dict
 @dataclass
 class AttributionConfig:
     background: np.ndarray  # (n_background, n_columns) reference rows
-    max_features: int = 20
     group_map: Optional[dict[str, list[str]]] = None  # player -> column names
 
     def __post_init__(self):
@@ -121,25 +118,34 @@ def value_function(model: Model, instance, subset, background) -> float:
 # allocates: a block of hybrid rows, a background chunk's coalition table or
 # walk, or a chunk of expanded leaf cells.
 SCRATCH_ELEMENTS = 4_000_000
+# Most players an instance is explained over: 2^20 coalition values.
+MAX_PLAYERS = 20
+
+
+def _column_players(members, d: int) -> np.ndarray:
+    """The player of each of the d columns."""
+    player = np.empty(d, dtype=np.int64)
+    for i, cols in enumerate(members):
+        player[cols] = i
+    return player
 
 
 def _coalition_values(model: Model, instance: np.ndarray, members, bg: np.ndarray) -> np.ndarray:
-    """v over all 2^M coalitions, evaluated in batched model calls."""
-    M = len(members)
+    """v over all 2^M coalitions, evaluated in batched model calls.
+
+    A block of coalitions is one C-order (coalitions, n_background, d) array,
+    handed to the model as its (rows, d) view: row c * n_bg + b is background
+    row b with the columns of coalition codes[c] taken from the instance.
+    """
     n_bg, d = bg.shape
-    total = 2**M
+    player = _column_players(members, d)
+    total = 2 ** len(members)
     out = np.empty(total)
     block = max(1, SCRATCH_ELEMENTS // (n_bg * d))
     for start in range(0, total, block):
         codes = np.arange(start, min(start + block, total))
-        big = np.empty((d, codes.size, n_bg))
-        big[:] = bg.T[:, None, :]
-        for i, cols in enumerate(members):
-            on = np.flatnonzero((codes >> i) & 1)
-            if on.size:
-                big[np.ix_(cols, on)] = instance[cols, None, None]
-        # Row c * n_bg + b is background row b under coalition codes[c].
-        preds = predict_proba(model, big.reshape(d, -1).T)
+        from_x = ((codes[:, None] >> player) & 1).astype(bool)  # (coalitions, d)
+        preds = predict_proba(model, np.where(from_x[:, None, :], instance, bg).reshape(-1, d))
         out[start : start + codes.size] = preds.reshape(codes.size, n_bg).mean(axis=1)
     return out
 
@@ -163,9 +169,7 @@ class _TreeGame:
     """
 
     def __init__(self, model: TreeEnsembleModel, members, bg: np.ndarray):
-        player = np.empty(bg.shape[1], dtype=np.int64)
-        for i, cols in enumerate(members):
-            player[cols] = i
+        player = _column_players(members, bg.shape[1])
         # Every tree in preorder, concatenated; leaves hold w_t * leaf value.
         feature, threshold, left, right, value, roots = [], [], [], [], [], []
         for tree, w in zip(model.trees, model.weights):
@@ -277,11 +281,9 @@ def _game(model: Model, config: AttributionConfig):
     ensemble is read from its trees, once, here; other models go through
     the enumerator."""
     names, members = build_players(model.feature_names, config.group_map)
-    if len(names) > config.max_features:
-        raise ValueError(
-            f"{len(names)} players exceed max_features={config.max_features}; group "
-            f"columns or reduce the feature set before explaining"
-        )
+    if len(names) > MAX_PLAYERS:
+        raise ValueError(f"{len(names)} players exceed MAX_PLAYERS={MAX_PLAYERS}; group "
+                         "columns or reduce the feature set before explaining")
     if config.background.shape[1] != len(model.feature_names):
         raise ValueError("background columns do not match the model's features")
     if isinstance(model, TreeEnsembleModel):

@@ -21,6 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .dataprep import _KINDS, DEFAULT_COUNTRIES, Statements, _as_int
+from .models import sigmoid
 
 MASKABLE_FIELDS = tuple(
     f for f in _KINDS if f not in ("company_id", "statement_year", "out_of_business")
@@ -102,10 +103,6 @@ class SynthOracle:
     intercept: float
     realized_rate: float
     target_rate: float
-
-
-def _sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -500.0, 500.0)))
 
 
 class _Panel:
@@ -215,7 +212,7 @@ class _Panel:
     def default_year(self, intercept: float) -> np.ndarray:
         """First grid index where the default draw fires, -1 if never; the
         draw runs on the window cells only."""
-        hit = self.win_u < _sigmoid(intercept + self.win_s)
+        hit = self.win_u < sigmoid(intercept + self.win_s)
         c, t = self.win_c[hit], self.win_t[hit]
         first = np.diff(c, prepend=-1) != 0  # cells run by company, then year
         D = np.full(self.n, -1)
@@ -308,7 +305,7 @@ def generate_statements(config: GeneratorConfig) -> tuple[Statements, SynthOracl
     oracle = SynthOracle(
         company_ids=ids[company[live]].tolist(),
         years=panel.years[t[live]],
-        propensity=_sigmoid(intercept + config.signal_strength * panel.score[kept][live]),
+        propensity=sigmoid(intercept + config.signal_strength * panel.score[kept][live]),
         intercept=float(intercept),
         realized_rate=realized,
         target_rate=target,

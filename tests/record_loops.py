@@ -30,7 +30,7 @@ from pdxplain.dataprep import (
     Rejection,
     Statements,
 )
-from pdxplain.models import RFParams, TreeEnsembleModel
+from pdxplain.models import RFParams, TreeEnsembleModel, sigmoid
 from pdxplain.synthgen import (
     _BISECT_HI,
     _BISECT_LO,
@@ -41,7 +41,6 @@ from pdxplain.synthgen import (
     GenerationError,
     GeneratorConfig,
     SynthOracle,
-    _sigmoid,
 )
 from pdxplain.trees import GINI, TreeConfig, fit_tree
 
@@ -341,7 +340,7 @@ class GridPanel:
     def default_year(self, intercept: float) -> np.ndarray:
         """First grid index where the default draw fires, -1 if never; the
         draw runs on the window cells only."""
-        hit = self.win_u < _sigmoid(intercept + self.win_s)
+        hit = self.win_u < sigmoid(intercept + self.win_s)
         c, t = self.win_c[hit], self.win_t[hit]
         first = np.diff(c, prepend=-1) != 0  # cells run by company, then year
         D = np.full(self.n, -1)
@@ -363,7 +362,7 @@ def default_year(panel, intercept):
     score at t-1."""
     s = panel.config.signal_strength
     p_next = np.zeros((panel.n, panel.T))
-    p_next[:, 1:] = _sigmoid(intercept + s * panel.score[:, :-1])
+    p_next[:, 1:] = sigmoid(intercept + s * panel.score[:, :-1])
     cols = np.arange(panel.T)[None, :]
     window = (cols > panel.entry[:, None]) & (cols <= panel.last[:, None])
     hit = (panel.default_uniforms < p_next) & window
@@ -406,7 +405,7 @@ def generate_with_oracle(config):
 
     D = default_year(panel, intercept)
     end = np.where(D >= 0, D, panel.last)
-    p_next = _sigmoid(intercept + config.signal_strength * panel.score)
+    p_next = sigmoid(intercept + config.signal_strength * panel.score)
 
     id_width = len(str(config.n_companies))
     records = []
@@ -523,7 +522,7 @@ def generate_on_grid(config):
     oracle = SynthOracle(
         company_ids=ids[company[live]].tolist(),
         years=panel.years[t[live]],
-        propensity=_sigmoid(intercept + config.signal_strength * panel.score[company[live], t[live]]),
+        propensity=sigmoid(intercept + config.signal_strength * panel.score[company[live], t[live]]),
         intercept=float(intercept),
         realized_rate=realized,
         target_rate=target,

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -385,6 +386,24 @@ class TestPrepare:
         fm = small_panel["prep"].features
         onehot = fm.X[:, [i for i, c in enumerate(fm.columns) if c.startswith("country_")]]
         np.testing.assert_array_equal(onehot.sum(axis=1), np.ones(fm.n))
+
+    def test_split_indexes_the_scaled_matrix(self, small_panel):
+        prep = small_panel["prep"]
+        assert prep.split.features is prep.features
+        np.testing.assert_array_equal(prep.split.test.X, prep.features.X[prep.split.test_indices])
+
+    def test_peak_is_at_most_five_times_the_matrix(self):
+        """The split holds indices, not rows, so prepare keeps no unscaled or
+        scaled copy of the split's rows (5.6 times the matrix with copies)."""
+        config = px.GeneratorConfig(n_companies=4000, year_range=(2004, 2018), imbalance_ratio=12.0, seed=3)
+        statements, _ = px.generate_statements(config)
+        tracemalloc.start()
+        try:
+            prep = px.prepare(statements, px.SplitSpec(seed=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * prep.features.X.nbytes
 
 
 def raw_csv(tmp_path, *rows, header=",".join(RECORD_FIELDS)):

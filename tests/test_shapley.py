@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -159,7 +160,7 @@ class TestCoalitionValues:
         ("rf", {"n_estimators": 6, "max_depth": 5}),
         ("lr", None),
     ])
-    def test_column_major_rows_equal_value_function(self, kind, params):
+    def test_batched_rows_equal_value_function(self, kind, params):
         """The batched hybrid rows give every coalition the value of the
         row-by-row value function."""
         fm = random_matrix(150, seed=11, columns=["f0", "f1", "f2", "country_FR", "country_GB", "country_BE"])
@@ -174,6 +175,35 @@ class TestCoalitionValues:
             for code in range(2 ** len(names))
         ]
         assert np.max(np.abs(v - want)) <= 1e-15
+
+    def test_model_gets_c_order_rows(self):
+        class ContiguityStub(LinearStub):
+            def predict_proba_array(self, X):
+                assert X.flags.c_contiguous
+                return super().predict_proba_array(X)
+
+        rng = np.random.default_rng(5)
+        model = ContiguityStub(rng.normal(size=4), 0.1, ["a", "b", "c", "d"])
+        members = [np.array([0]), np.array([1, 3]), np.array([2])]
+        v = _coalition_values(model, rng.normal(size=4), members, rng.normal(size=(7, 4)))
+        assert v.shape == (8,)
+
+    def test_lr_peak_is_one_block_of_rows(self):
+        """The prepared layout (nine ratios and six countries as one player)
+        with 100 background rows makes one block of hybrid rows; the model
+        reads it in place, with no second copy (2.07 blocks)."""
+        countries = [f"country_{c}" for c in ("FR", "GB", "BE", "ES", "NL", "PT")]
+        fm = random_matrix(200, seed=12, columns=[f"f{i}" for i in range(9)] + countries)
+        model = px.fit("lr", fm, None, seed=0)
+        members = build_players(fm.columns, px.group_countries(fm.columns))[1]
+        block = 2**10 * 100 * 15 * 8
+        tracemalloc.start()
+        try:
+            _coalition_values(model, fm.X[150], members, fm.X[:100])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * block
 
 
 split, leaf = TreeNode.split, TreeNode.leaf
@@ -293,7 +323,7 @@ class TestScratchBound:
         sampled_coalitions_match(model, cfg, fm.X[50], 60, seed=1)
 
     def test_twenty_players_chunk_the_background(self):
-        """At max_features 20 a background row's table has 2^20 entries, so
+        """At MAX_PLAYERS 20 a background row's table has 2^20 entries, so
         three rows make a chunk."""
         model, fm = wide_model(20, seed=42)
         cfg = px.AttributionConfig(background=fm.X[:4])
@@ -374,10 +404,10 @@ class TestGrouping:
         np.testing.assert_allclose(phi, subset_shapley_from_values(v, M), atol=1e-10)
 
     def test_max_features_guard(self):
-        model = LinearStub(np.zeros(5), 0.5, [f"f{i}" for i in range(5)])
-        cfg = px.AttributionConfig(background=np.zeros((3, 5)), max_features=3)
+        model = LinearStub(np.zeros(21), 0.5, [f"f{i}" for i in range(21)])
+        cfg = px.AttributionConfig(background=np.zeros((3, 21)))
         with pytest.raises(ValueError, match="group"):
-            px.shapley_values(model, np.zeros(5), cfg)
+            px.shapley_values(model, np.zeros(21), cfg)
 
 
 class TestReport:
