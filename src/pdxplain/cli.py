@@ -5,7 +5,9 @@ resample, train, explain, map-grades, align; evaluate scores one split) plus
 ``run`` for the whole pipeline and ``report`` for pretty-printing a bundle.
 They pass data through the pipeline's own stage files: statement and
 feature ``.npz`` files, JSON sidecars and models, and reference grade CSVs.
-Failures exit nonzero with a stage-tagged message on stderr.
+A subcommand that reads rows takes every row of ``--in``, or with ``--split``
+one part of the split that ``prepare`` stored in it. Failures exit nonzero
+with a stage-tagged message on stderr.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-from .dataprep import FeatureMatrix, Statements, read_statements
+from .dataprep import FeatureMatrix, SplitResult, Statements, read_statements
 from .metrics import evaluate
 from .models import MODEL_KINDS, load_model, predict_proba
 from .pipeline import (
@@ -30,7 +32,6 @@ from .pipeline import (
     explain_stage,
     format_report,
     generate_stage,
-    load_split,
     map_grades_stage,
     parse_section,
     prepare_stage,
@@ -45,17 +46,11 @@ from .shapley import AttributionReport
 from .smote import SmoteConfig
 
 
-def _splits(args, split) -> dict:
-    """``--in`` as ``all``, plus its train/test/validation splits given
-    ``--meta``; ``split`` must be among them."""
-    splits = load_split(args.inp, args.meta)
-    if split is not None and split not in splits:
-        raise ValueError(f"--split {split} needs --meta")
-    return splits
-
-
-def _rows(args, split) -> FeatureMatrix:
-    return _splits(args, split)[split or "all"]
+def _rows(args) -> FeatureMatrix:
+    """Every row of ``--in``, or the rows of its ``--split``."""
+    if args.split is None:
+        return FeatureMatrix.load(args.inp)
+    return getattr(SplitResult.load(args.inp), args.split)
 
 
 def _section(path, seed) -> dict:
@@ -92,7 +87,7 @@ def _cmd_prepare(args) -> int:
 
 
 def _cmd_resample(args) -> int:
-    rows = _rows(args, "train" if args.meta else None)
+    rows = _rows(args)
     config = SmoteConfig(k=args.k, target_ratio=args.ratio, seed=args.seed)
     audit_path = args.audit or str(Path(args.out).with_suffix(".audit.json"))
     result = resample_stage(rows, config, args.out, audit_path)
@@ -105,7 +100,7 @@ def _cmd_resample(args) -> int:
 
 def _cmd_train(args) -> int:
     params = read_json(args.params) if args.params else None
-    rows = _rows(args, args.split)
+    rows = _rows(args)
     train_stage(args.model, rows, params, args.seed, args.out)
     print(f"trained {args.model} on {rows.n} rows -> {args.out}")
     return 0
@@ -113,7 +108,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     model = load_model(args.model)
-    rows = _rows(args, args.split)
+    rows = _rows(args)
     report = evaluate(rows.y, predict_proba(model, rows), threshold=args.threshold)
     report.save(args.report)
     print(
@@ -125,8 +120,10 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_explain(args) -> int:
-    splits = _splits(args, args.split)
-    rows = select_instances(splits, args.max_instances, args.seed, args.split or "all")
+    pool = _rows(args)
+    if args.split == "validation" and not pool.n:  # a panel with no validation-year rows
+        pool = SplitResult.load(args.inp).test
+    rows = select_instances(pool, args.max_instances, args.seed)
     background = FeatureMatrix.load(args.background).X
     report = explain_stage(load_model(args.model), rows, background, args.group_countries, args.out)
     top = ", ".join(report.ranking[:3])
@@ -135,19 +132,11 @@ def _cmd_explain(args) -> int:
 
 
 def _cmd_map_grades(args) -> int:
-    if not (args.fixed_intervals or args.meta):
-        raise ValueError("calibration fits on the test split and needs --meta "
-                         "(or pass --fixed-intervals)")
-    model, splits = load_model(args.model), _splits(args, args.split)
-    confusion = map_grades_stage(
-        lambda split: predict_proba(model, splits[split]),
-        read_reference_grades(args.reference),
-        splits,
-        args.split or "all",
-        "fixed" if args.fixed_intervals else "calibrate",
-        args.fixed_intervals,
-        args.out,
-    )
+    model = load_model(args.model)
+    scored = lambda rows: (rows, predict_proba(model, rows))
+    test = None if args.fixed_intervals else scored(SplitResult.load(args.inp).test)
+    confusion = map_grades_stage(read_reference_grades(args.reference), scored(_rows(args)), test,
+                                 args.fixed_intervals, args.out)
     print(
         f"graded {int(confusion.matrix.sum())} rows -> {args.out} "
         f"(equal {100 * confusion.equal_fraction:.1f}%, "
@@ -191,8 +180,8 @@ def _cmd_report(args) -> int:
 
 def _row_args(p, help_in="feature .npz") -> None:
     p.add_argument("--in", dest="inp", required=True, help=help_in)
-    p.add_argument("--meta", help="prepare sidecar for --split")
-    p.add_argument("--split", choices=("train", "test", "validation"))
+    p.add_argument("--split", choices=("train", "test", "validation"),
+                   help="read only these rows of the split that prepare stored in --in")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -219,8 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_prepare, stage="prepare")
 
     p = sub.add_parser("resample", help="SMOTE-oversample a training matrix")
-    p.add_argument("--in", dest="inp", required=True, help="feature .npz (training rows)")
-    p.add_argument("--meta", help="prepare sidecar; restricts to the train split")
+    _row_args(p, "feature .npz of the training rows (with --split train, prepare's output)")
     p.add_argument("--k", type=int, default=SmoteConfig.k)
     p.add_argument("--ratio", type=float, default=SmoteConfig.target_ratio)
     p.add_argument("--seed", type=int, default=SmoteConfig.seed)
@@ -257,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--reference", required=True, help="reference grade CSV")
     _row_args(p)
-    p.add_argument("--fixed-intervals", help="interval table JSON; else calibrate on the --meta test split")
+    p.add_argument("--fixed-intervals", help="interval table JSON; else calibrate on the test split of --in")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_map_grades, stage="map-grades")
 

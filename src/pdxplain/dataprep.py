@@ -8,8 +8,9 @@ country (``statement_features``), split by statement year, and standardize
 the continuous columns with train-only statistics; ``prepare`` runs them all.
 Statements have no per-row representation.
 
-Between stages, ``Statements`` and ``FeatureMatrix`` travel as numpy ``.npz``
-files (``save``/``load``: one array per column, no pickles). The one text
+Between stages, ``Statements``, ``FeatureMatrix`` and ``SplitResult`` (the
+matrix plus its split's row indices) travel as numpy ``.npz`` files
+(``save``/``load``: one array per column, no pickles). The one text
 reader is ``read_statements``, which parses a raw statement CSV from outside
 the package in blocks of rows.
 """
@@ -74,6 +75,9 @@ _BOOL_CODES = {"": -1, **dict.fromkeys(_TRUE_TOKENS, 1), **dict.fromkeys(_FALSE_
 
 # Rows per block when statements are read from CSV.
 BLOCK_ROWS = 1024
+
+# A split's index arrays in its .npz, ahead of its matrix's arrays.
+_SPLIT_INDICES = ("train_indices", "test_indices", "validation_indices")
 
 
 def _save_npz(path, arrays: dict[str, np.ndarray]) -> None:
@@ -240,20 +244,24 @@ class FeatureMatrix:
     def continuous_columns(self) -> list[str]:
         return [c for c in self.columns if c in CONTINUOUS_COLUMNS]
 
-    def save(self, path) -> None:
-        """Write the matrix to ``path`` as a .npz of ``columns``, ``X`` (C
-        order), ``y``, ``company_ids`` and ``years``."""
-        _save_npz(path, {
+    def _arrays(self) -> dict[str, np.ndarray]:
+        return {
             "columns": np.array(self.columns, dtype=str),
             "X": np.ascontiguousarray(self.X),
             "y": self.y,
             "company_ids": np.array(self.company_ids, dtype=str),
             "years": self.years,
-        })
+        }
+
+    def save(self, path) -> None:
+        """Write the matrix to ``path`` as a .npz of ``columns``, ``X`` (C
+        order), ``y``, ``company_ids`` and ``years``."""
+        _save_npz(path, self._arrays())
 
     @classmethod
     def load(cls, path) -> "FeatureMatrix":
-        """Read a matrix that ``save`` wrote; see ``_load_npz`` for the checks."""
+        """Read a matrix that ``save`` or ``SplitResult.save`` wrote; see
+        ``_load_npz`` for the checks."""
         def shapes(a):
             n, d = a["years"].size, a["columns"].size
             return {"columns": (d,), "X": (n, d), "y": (n,), "company_ids": (n,), "years": (n,)}
@@ -266,17 +274,37 @@ class FeatureMatrix:
 class SplitResult:
     """The year-based split as row indices into one ``features`` matrix.
     ``train``, ``test`` and ``validation`` build their rows from it on each
-    read; the split itself holds no copy of them."""
+    read; the split itself holds no copy of them. ``save`` stores the
+    indices in the matrix's own .npz."""
 
     features: FeatureMatrix
     train_indices: np.ndarray
     test_indices: np.ndarray
     validation_indices: np.ndarray
-    out_of_range: int = 0
 
     train = property(lambda self: self.features.subset(self.train_indices))
     test = property(lambda self: self.features.subset(self.test_indices))
     validation = property(lambda self: self.features.subset(self.validation_indices))
+    # the rows in neither year range, which no split holds
+    out_of_range = property(lambda self: self.features.n - sum(len(getattr(self, k)) for k in _SPLIT_INDICES))
+
+    def save(self, path) -> None:
+        """Write ``train_indices``, ``test_indices``, ``validation_indices``
+        and then the matrix's arrays (see ``FeatureMatrix.save``) to one
+        .npz at ``path``."""
+        _save_npz(path, {**{name: getattr(self, name) for name in _SPLIT_INDICES}, **self.features._arrays()})
+
+    @classmethod
+    def load(cls, path) -> "SplitResult":
+        """Read a split that ``save`` wrote; see ``_load_npz`` for the
+        checks. Each index array must be 1-D, and an index outside the
+        matrix also raises ValueError naming the file."""
+        fm = FeatureMatrix.load(path)
+        indices = _load_npz(path, dict.fromkeys(_SPLIT_INDICES, "i"), lambda a: {k: (v.size,) for k, v in a.items()})
+        for name, idx in indices.items():
+            if ((idx < 0) | (idx >= fm.n)).any():
+                raise ValueError(f"{path}: array {name!r} holds a row index outside the matrix's {fm.n} rows")
+        return cls(fm, *indices.values())
 
 
 def label_statements(st: Statements) -> tuple[np.ndarray, np.ndarray]:
@@ -434,13 +462,12 @@ def split(fm: FeatureMatrix, spec: SplitSpec) -> SplitResult:
 
     Train-year rows are shuffled with spec.seed and divided into train and
     test; validation-year rows pass through in input order. Rows outside
-    both ranges are dropped and counted.
+    both ranges are in no split (``out_of_range`` counts them).
     """
     t0, t1 = spec.train_years
     v0, v1 = spec.validation_years
     in_train_years = (fm.years >= t0) & (fm.years <= t1)
     in_val_years = (fm.years >= v0) & (fm.years <= v1)
-    out_of_range = int(fm.n - in_train_years.sum() - in_val_years.sum())
 
     pool = np.flatnonzero(in_train_years)
     rng = np.random.default_rng(spec.seed)
@@ -448,7 +475,7 @@ def split(fm: FeatureMatrix, spec: SplitSpec) -> SplitResult:
     n_test = int(round(spec.test_fraction * pool.size))
     if n_test == pool.size:
         raise ValueError("split produced an empty training set")
-    return SplitResult(fm, perm[n_test:], perm[:n_test], np.flatnonzero(in_val_years), out_of_range)
+    return SplitResult(fm, perm[n_test:], perm[:n_test], np.flatnonzero(in_val_years))
 
 
 def fit_scaler(train: FeatureMatrix) -> ScalerParams:

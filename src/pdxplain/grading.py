@@ -144,23 +144,18 @@ class GradeConfusion:
 
 
 def grade_confusion(reference_grades: Sequence[str], mapped_grades: Sequence[str]) -> GradeConfusion:
-    ref = [_GRADE_INDEX[g] for g in reference_grades]
-    mapped = [_GRADE_INDEX[g] for g in mapped_grades]
+    ref = np.array([_GRADE_INDEX[g] for g in reference_grades], dtype=int)
+    mapped = np.array([_GRADE_INDEX[g] for g in mapped_grades], dtype=int)
     if len(ref) != len(mapped):
         raise ValueError("reference and mapped grade streams differ in length")
     n = len(ref)
     if n == 0:
         raise ValueError("empty grade streams")
-    matrix = np.zeros((len(GRADES), len(GRADES)), dtype=int)
-    for r, m in zip(ref, mapped):
-        matrix[r, m] += 1
-    ref_a = np.asarray(ref)
-    map_a = np.asarray(mapped)
-    riskier = int((map_a > ref_a).sum())
-    safer = int((map_a < ref_a).sum())
-    critical = int(((ref_a >= _GRADE_INDEX["E"]) & (map_a <= _GRADE_INDEX["B"])).sum())
+    riskier = int((mapped > ref).sum())
+    safer = int((mapped < ref).sum())
+    critical = int(((ref >= _GRADE_INDEX["E"]) & (mapped <= _GRADE_INDEX["B"])).sum())
     return GradeConfusion(
-        matrix=matrix,
+        matrix=np.bincount(ref * len(GRADES) + mapped, minlength=len(GRADES) ** 2).reshape(len(GRADES), len(GRADES)),
         riskier_fraction=riskier / n,
         safer_fraction=safer / n,
         equal_fraction=(n - riskier - safer) / n,

@@ -25,11 +25,12 @@ stage's output already must.
 
 Stages hand data to each other as numpy ``.npz`` columns, saved and loaded
 without pickles: the raw statements (``data.npz``, ``dataprep.Statements``),
-the prepared matrix (``features.npz``) and the resampled training rows
-(``train_resampled.npz``, both ``dataprep.FeatureMatrix``). Text remains
-where people and other tools meet the data: the JSON sidecars, summaries
-and models, the reference grades (``reference_grades.csv``, the analysts'
-format) and the report bundle.
+the prepared matrix with its split's row indices (``features.npz``,
+``dataprep.SplitResult``, which every later stage reads its rows from) and
+the resampled training rows (``train_resampled.npz``,
+``dataprep.FeatureMatrix``). Text remains where people and other tools meet
+the data: the JSON sidecars, summaries and models, the reference grades
+(``reference_grades.csv``, the analysts' format) and the report bundle.
 
 Given a second CPU and no other Python thread, a tree ensemble's WRS fit
 and half its explained instances run in a forked child (``forks.fork_map``),
@@ -62,7 +63,7 @@ import numpy as np
 from . import __version__
 from . import alignment as alignment_mod
 from . import grading as grading_mod
-from .dataprep import DEFAULT_COUNTRIES, FeatureMatrix, SplitSpec, Statements, _as_int, prepare
+from .dataprep import DEFAULT_COUNTRIES, FeatureMatrix, SplitResult, SplitSpec, Statements, _as_int, prepare
 from .forks import fork_map, forking
 from .metrics import evaluate
 from .models import MODEL_KINDS, PARAM_CLASSES, fit, load_model, predict_proba, save_model
@@ -117,6 +118,9 @@ class AttributionSection:
         self.background_size = _as_int(self.background_size, "attribution.background_size")
         self.n_instances = _as_int(self.n_instances, "attribution.n_instances")
         self.seed = _as_int(self.seed, "attribution.seed")
+        for key in ("background_size", "n_instances"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"attribution.{key} must be >= 1, not {getattr(self, key)}")
         if not isinstance(self.group_countries, bool):
             raise ValueError(f"attribution.group_countries must be true or false, not {self.group_countries!r}")
         if not self.group_countries:
@@ -259,18 +263,6 @@ def read_json(path):
         return json.load(fh)
 
 
-def load_split(features_path, meta_path=None) -> dict:
-    """The prepared matrix as ``all``; given the prepare sidecar, also the
-    ``train``/``test``/``validation`` slices it names."""
-    fm = FeatureMatrix.load(features_path)
-    out = {"all": fm}
-    if meta_path is not None:
-        split = read_json(meta_path)["split"]
-        for name in ("train", "test", "validation"):
-            out[name] = fm.subset(np.asarray(split[name], dtype=int))
-    return out
-
-
 def generate_stage(config: GeneratorConfig, data_path, grades_path=None) -> dict:
     """Write a synthetic panel to ``data_path`` and, given ``grades_path``,
     its oracle reference grades; return the generation summary."""
@@ -291,18 +283,13 @@ def generate_stage(config: GeneratorConfig, data_path, grades_path=None) -> dict
 
 def prepare_stage(statements, spec: SplitSpec, countries, features_path, meta_path):
     """Label, derive ratios, split and scale the raw ``statements`` columns;
-    write the feature matrix and its sidecar (scaler, split membership,
-    rejection counts, per-year default rates of the labels)."""
+    write the feature matrix with its split's row indices, and the sidecar
+    (scaler, rejection counts, per-year default rates of the labels)."""
     prep = prepare(statements, spec, countries)
-    prep.features.save(features_path)
+    prep.split.save(features_path)
     write_json(meta_path, {
         "scaler": prep.scaler.to_dict(),
         "countries": list(prep.countries),
-        "split": {
-            "train": [int(i) for i in prep.split.train_indices],
-            "test": [int(i) for i in prep.split.test_indices],
-            "validation": [int(i) for i in prep.split.validation_indices],
-        },
         "rejections": prep.rejection_counts(),
         "default_rates": prep.default_rates,
     })
@@ -327,13 +314,9 @@ def evaluate_stage(kind: str, rows, path) -> None:
     write_json(path, {"rows": table})
 
 
-def select_instances(splits: dict, n: Optional[int], seed: int, split: str = "validation") -> FeatureMatrix:
-    """At most ``n`` rows (all when None) of ``splits[split]``, drawn with
-    ``seed`` and kept in row order. An empty validation split falls back to
-    the test split."""
-    pool = splits[split]
-    if split == "validation" and not pool.n:
-        pool = splits["test"]
+def select_instances(pool: FeatureMatrix, n: Optional[int], seed: int) -> FeatureMatrix:
+    """At most ``n`` rows (all when None) of ``pool``, drawn with ``seed``
+    and kept in row order."""
     if n is None or n >= pool.n:
         return pool
     rng = np.random.default_rng(seed)
@@ -350,7 +333,7 @@ def explain_stage(model, instances: FeatureMatrix, background: np.ndarray, group
     return report
 
 
-def _paired_grades(probs: np.ndarray, data: FeatureMatrix, reference: ReferenceGrades):
+def _paired_grades(data: FeatureMatrix, probs: np.ndarray, reference: ReferenceGrades):
     """(reference grades, probabilities ``probs``) of the rows of ``data`` that have one."""
     grades, kept = [], []
     for i in range(data.n):
@@ -363,17 +346,17 @@ def _paired_grades(probs: np.ndarray, data: FeatureMatrix, reference: ReferenceG
     return grades, probs[np.asarray(kept, dtype=int)]
 
 
-def map_grades_stage(proba, reference: ReferenceGrades, splits: dict, score: str,
-                     mode: str, intervals_path, path) -> grading_mod.GradeConfusion:
-    """Map the model's probabilities of ``splits[score]``, ``proba(score)``,
-    to grades and compare them with the reference grades. ``calibrate``
-    fits the grade bounds on the test split; ``fixed`` reads the interval
-    table at ``intervals_path`` (the bundled table when None)."""
-    if mode == "fixed":
-        cal = grading_mod.load_fixed_intervals(intervals_path)
+def map_grades_stage(reference: ReferenceGrades, scored, test, intervals_path, path) -> grading_mod.GradeConfusion:
+    """Map ``scored``, a (rows, model probabilities) pair, to grades and
+    compare them with the rows' reference grades. Mode ``calibrate`` fits
+    the grade bounds on ``test``, the test split's pair; mode ``fixed``
+    (``test`` None) reads the interval table at ``intervals_path`` (the
+    bundled table when None)."""
+    if test is None:
+        mode, cal = "fixed", grading_mod.load_fixed_intervals(intervals_path)
     else:
-        cal = grading_mod.calibrate(*_paired_grades(proba("test"), splits["test"], reference))
-    grades, probs = _paired_grades(proba(score), splits[score], reference)
+        mode, cal = "calibrate", grading_mod.calibrate(*_paired_grades(*test, reference))
+    grades, probs = _paired_grades(*scored, reference)
     confusion = grading_mod.grade_confusion(grades, grading_mod.assign_grades(probs, cal))
     write_json(path, {"mode": mode, "calibration": cal.to_dict(), "confusion": confusion.to_dict()})
     return confusion
@@ -433,10 +416,10 @@ def run_pipeline(config: RunConfig, out_dir) -> dict:
             low, high = config.split.validation_years
             raise ValueError(f"validation years {low}-{high} hold no rows")
     prep_dir = run_stage("prepare", {"split": doc["split"], "countries": doc["countries"]}, [gen_dir], _prepare)
-    splits = functools.cache(lambda: load_split(prep_dir / "features.npz", prep_dir / "features.meta.json"))
+    split = functools.cache(lambda: SplitResult.load(prep_dir / "features.npz"))
 
     rs_dir = run_stage("resample", doc["smote"], [prep_dir], lambda d: resample_stage(
-        splits()["train"], config.smote, d / "train_resampled.npz", d / "smote_audit.json"
+        split().train, config.smote, d / "train_resampled.npz", d / "smote_audit.json"
     ))
 
     def _train(d: Path):
@@ -444,24 +427,24 @@ def run_pipeline(config: RunConfig, out_dir) -> dict:
             train_stage(config.model.kind, job[0], config.model.params, config.model.seed, d / job[1])
         # RS, the longer fit, runs in this process and WRS in fork_map's child, when the stage may fork.
         fork_map(fit_one, [(FeatureMatrix.load(rs_dir / "train_resampled.npz"), "model_rs.json"),
-                           (splits()["train"], "model_wrs.json")])
+                           (split().train, "model_wrs.json")])
     train_dir = run_stage("train", doc["model"], [prep_dir, rs_dir], _train)
     model = functools.cache(lambda name: load_model(train_dir / name))
     # Evaluate and map-grades score the same splits: predict each (model, split) once.
-    proba = functools.cache(lambda name, split: predict_proba(model(name), splits()[split]))
+    proba = functools.cache(lambda name, part: predict_proba(model(name), getattr(split(), part)))
 
     eval_dir = run_stage("evaluate", config.model.kind, [prep_dir, train_dir], lambda d: evaluate_stage(
         config.model.kind,
-        [("WRS", splits()["test"].y, proba("model_wrs.json", "test")),
-         ("RS", splits()["test"].y, proba("model_rs.json", "test")),
-         ("RS+VS", splits()["validation"].y, proba("model_rs.json", "validation"))],
+        [("WRS", split().test.y, proba("model_wrs.json", "test")),
+         ("RS", split().test.y, proba("model_rs.json", "test")),
+         ("RS+VS", split().validation.y, proba("model_rs.json", "validation"))],
         d / "performance.json",
     ))
 
     explain_dir = run_stage("explain", doc["attribution"], [prep_dir, train_dir], lambda d: explain_stage(
         model("model_rs.json"),
-        select_instances(splits(), config.attribution.n_instances, config.attribution.seed),
-        sample_background(splits()["train"], config.attribution.background_size, config.attribution.seed),
+        select_instances(split().validation, config.attribution.n_instances, config.attribution.seed),
+        sample_background(split().train, config.attribution.background_size, config.attribution.seed),
         config.attribution.group_countries,
         d / "attributions.json",
     ))
@@ -469,8 +452,10 @@ def run_pipeline(config: RunConfig, out_dir) -> dict:
     grade_dir = run_stage(
         "map-grades", config.grading.mode, [gen_dir, prep_dir, train_dir],
         lambda d: map_grades_stage(
-            functools.partial(proba, "model_rs.json"), read_reference_grades(gen_dir / "reference_grades.csv"),
-            splits(), "validation", config.grading.mode, config.grading.intervals_path, d / "grading.json"),
+            read_reference_grades(gen_dir / "reference_grades.csv"),
+            (split().validation, proba("model_rs.json", "validation")),
+            (split().test, proba("model_rs.json", "test")) if config.grading.mode == "calibrate" else None,
+            config.grading.intervals_path, d / "grading.json"),
         inputs=[(config.grading.intervals_path, "scorecard_intervals.json")] if config.grading.mode == "fixed" else [],
     )
 

@@ -1,3 +1,4 @@
+import json
 import re
 import tracemalloc
 
@@ -268,10 +269,16 @@ def small_matrix(n=7):
     return fm
 
 
+def small_split():
+    """A split of every kind of row: train, test, validation and out of range."""
+    return px.split(_year_matrix([2001, 2005, 2006, 2007, 2013, 2014, 2010, 2011]), px.SplitSpec(seed=1))
+
+
 # Each stage file type: (its class, a small instance of it).
 STAGE_FILES = {
     "statements": (px.Statements, lambda: to_statements([make_record("A", 2010), make_record("B", 2011, sales=None)])),
     "features": (px.FeatureMatrix, small_matrix),
+    "split": (px.SplitResult, small_split),
 }
 
 
@@ -365,6 +372,74 @@ class TestStageFiles:
         np.save(path, np.arange(3))
         with pytest.raises(ValueError, match=re.escape(f"{path}: not an .npz archive")):
             px.FeatureMatrix.load(path)
+
+
+def resaved(path, **changes):
+    """Rewrite the .npz at ``path`` with its arrays updated by ``changes`` (None deletes one)."""
+    arrays = {**npz_arrays(path), **changes}
+    np.savez(path, **{name: a for name, a in arrays.items() if a is not None})
+
+
+class TestStoredSplit:
+    """The split lives in the matrix's .npz, and only SplitResult reads it."""
+
+    def test_prepare_output_loads_as_the_prepared_split(self, small_panel, tmp_path):
+        prep, features = small_panel["prep"], tmp_path / "features.npz"
+        px.pipeline.prepare_stage(small_panel["statements"], px.SplitSpec(seed=3), px.dataprep.DEFAULT_COUNTRIES,
+                                  features, tmp_path / "features.meta.json")
+        back = px.SplitResult.load(features)
+        for part in ("train", "test", "validation"):
+            np.testing.assert_array_equal(getattr(back, f"{part}_indices"), getattr(prep.split, f"{part}_indices"))
+            got, want = getattr(back, part), getattr(prep.split, part)
+            np.testing.assert_array_equal(got.X, want.X)
+            np.testing.assert_array_equal(got.y, want.y)
+            np.testing.assert_array_equal(got.years, want.years)
+            assert got.company_ids == want.company_ids and got.columns == want.columns
+        np.testing.assert_array_equal(px.FeatureMatrix.load(features).X, prep.features.X)
+
+    def test_sidecar_holds_no_split(self, small_panel, tmp_path):
+        meta = tmp_path / "features.meta.json"
+        px.pipeline.prepare_stage(small_panel["statements"], px.SplitSpec(seed=3), px.dataprep.DEFAULT_COUNTRIES,
+                                  tmp_path / "features.npz", meta)
+        assert sorted(json.loads(meta.read_text())) == ["countries", "default_rates", "rejections", "scaler"]
+
+    def test_loaded_split_counts_the_rows_out_of_range(self, tmp_path):
+        sp = small_split()
+        sp.save(tmp_path / "f.npz")
+        back = px.SplitResult.load(tmp_path / "f.npz")
+        assert back.out_of_range == sp.out_of_range == 1
+        assert (back.train.n, back.test.n, back.validation.n) == (sp.train.n, sp.test.n, 2)
+
+    @pytest.mark.parametrize("index", [8, 100, -1])
+    def test_index_outside_the_matrix_names_the_file(self, tmp_path, index):
+        path = tmp_path / "f.npz"
+        small_split().save(path)
+        resaved(path, test_indices=np.array([0, index]))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: array 'test_indices' holds a row index outside")):
+            px.SplitResult.load(path)
+
+    def test_float_indices_name_the_file(self, tmp_path):
+        path = tmp_path / "f.npz"
+        small_split().save(path)
+        resaved(path, train_indices=np.array([0.0, 1.0]))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: array 'train_indices' has dtype float64")):
+            px.SplitResult.load(path)
+
+    @pytest.mark.parametrize("name", ["train_indices", "test_indices", "validation_indices"])
+    def test_missing_indices_name_the_file(self, tmp_path, name):
+        path = tmp_path / "f.npz"
+        small_split().save(path)
+        resaved(path, **{name: None})
+        with pytest.raises(ValueError, match=re.escape(f"{path}: no array {name!r}")):
+            px.SplitResult.load(path)
+        assert px.FeatureMatrix.load(path).n == 8  # the matrix alone still reads
+
+    def test_index_arrays_must_be_one_dimensional(self, tmp_path):
+        path = tmp_path / "f.npz"
+        small_split().save(path)
+        resaved(path, validation_indices=np.array([[4], [5]]))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: array shapes")):
+            px.SplitResult.load(path)
 
 
 class TestPrepare:

@@ -321,6 +321,22 @@ class TestStrictConfig:
         with pytest.raises(ValueError, match=re.escape(f"{key} must be an integer, not {bad!r}")):
             cls(**kwargs)
 
+    @pytest.mark.parametrize("key, value", [
+        ("background_size", 0),
+        ("background_size", -1),
+        ("n_instances", 0),
+        ("n_instances", -3),
+    ])
+    def test_attribution_sizes_below_one_rejected_before_any_stage(self, tmp_path, key, value):
+        message = re.escape(f"attribution.{key} must be >= 1, not {value}")
+        with pytest.raises(ValueError, match=message):
+            AttributionSection(**{key: value})
+        doc = copy.deepcopy(SMALL_DOC)
+        doc["attribution"][key] = value
+        with pytest.raises(ValueError, match=message):
+            run_pipeline(RunConfig.from_dict(doc), tmp_path / "run")
+        assert not (tmp_path / "run").exists()
+
     def test_whole_number_section_integers_keep_the_digest(self):
         doc = copy.deepcopy(SMALL_DOC)
         doc["generator"].update(seed=11, n_companies=900.0, year_range=[2004.0, 2018])
@@ -709,9 +725,9 @@ class TestForkedWork:
         monkeypatch.setattr(forks, "_cpus", lambda: 2)
         pids = count_forks(monkeypatch)
         (prep,), (train,) = small_run["out"].glob("stages/prepare_*"), small_run["out"].glob("stages/train_*")
-        splits = px.pipeline.load_split(prep / "features.npz", prep / "features.meta.json")
-        report = px.global_importance(px.load_model(train / "model_rs.json"), splits["validation"].X[:4],
-                                      px.AttributionConfig(background=splits["train"].X[:20]))
+        split = px.SplitResult.load(prep / "features.npz")
+        report = px.global_importance(px.load_model(train / "model_rs.json"), split.validation.X[:4],
+                                      px.AttributionConfig(background=split.train.X[:20]))
         assert report.phi.shape[0] == 4 and pids == []
 
 
@@ -809,7 +825,6 @@ class TestCli:
         data = tmp_path / "data.npz"
         ref = tmp_path / "ref.csv"
         features = tmp_path / "features.npz"
-        meta = tmp_path / "features.meta.json"
         train_rs = tmp_path / "train_rs.npz"
         model = tmp_path / "model.json"
         report = tmp_path / "eval.json"
@@ -820,17 +835,17 @@ class TestCli:
         steps = [
             ["generate", "--config", str(gen_cfg), "--out", str(data), "--grades-out", str(ref)],
             ["prepare", "--in", str(data), "--config", str(prep_cfg), "--out", str(features)],
-            ["resample", "--in", str(features), "--meta", str(meta), "--k", "5",
+            ["resample", "--in", str(features), "--split", "train", "--k", "5",
              "--ratio", "0.5", "--seed", "2", "--out", str(train_rs)],
             ["train", "--model", "gbt", "--params", str(params), "--in", str(train_rs),
              "--out", str(model), "--seed", "0"],
-            ["evaluate", "--model", str(model), "--in", str(features), "--meta", str(meta),
+            ["evaluate", "--model", str(model), "--in", str(features),
              "--split", "validation", "--report", str(report)],
-            ["explain", "--model", str(model), "--in", str(features), "--meta", str(meta),
+            ["explain", "--model", str(model), "--in", str(features),
              "--split", "validation", "--background", str(train_rs), "--group-countries",
              "--max-instances", "5", "--out", str(attr), "--seed", "1"],
             ["map-grades", "--model", str(model), "--reference", str(ref), "--in", str(features),
-             "--meta", str(meta), "--split", "validation", "--out", str(grading)],
+             "--split", "validation", "--out", str(grading)],
             ["align", "--attribution", str(attr), "--out", str(align_out)],
         ]
         for argv in steps:
@@ -864,7 +879,7 @@ class TestCli:
              "--out", f["data.npz"], "--grades-out", f["reference_grades.csv"]],
             ["prepare", "--in", f["data.npz"], "--config", str(split_cfg),
              "--seed", str(config.split.seed), "--out", f["features.npz"]],
-            ["resample", "--in", f["features.npz"], "--meta", f["features.meta.json"],
+            ["resample", "--in", f["features.npz"], "--split", "train",
              "--k", str(config.smote.k), "--ratio", str(config.smote.target_ratio),
              "--seed", str(config.smote.seed), "--out", f["train_resampled.npz"],
              "--audit", f["smote_audit.json"]],
@@ -872,8 +887,7 @@ class TestCli:
              "--in", f["train_resampled.npz"], "--seed", str(config.model.seed),
              "--out", f["model_rs.json"]],
             ["map-grades", "--model", f["model_rs.json"], "--reference", f["reference_grades.csv"],
-             "--in", f["features.npz"], "--meta", f["features.meta.json"],
-             "--split", "validation", "--out", f["grading.json"]],
+             "--in", f["features.npz"], "--split", "validation", "--out", f["grading.json"]],
             ["align", "--attribution", str(pipeline_artifact("attributions.json")),
              "--out", f["alignment.json"]],
         ]
@@ -883,16 +897,34 @@ class TestCli:
         for name, path in f.items():
             assert Path(path).read_bytes() == pipeline_artifact(name).read_bytes(), name
 
-    def test_calibrated_grading_needs_meta(self, small_run, tmp_path, capsys):
+    def test_calibrated_grading_needs_a_split(self, small_run, tmp_path, capsys):
+        """Calibration fits on the test split, which a resampled matrix does not hold."""
         stages = small_run["out"] / "stages"
-        (features,) = stages.glob("*/features.npz")
+        (rows,) = stages.glob("*/train_resampled.npz")
         (model,) = stages.glob("*/model_rs.json")
         (ref,) = stages.glob("*/reference_grades.csv")
         rc = main(["map-grades", "--model", str(model), "--reference", str(ref),
-                   "--in", str(features), "--out", str(tmp_path / "grading.json")])
+                   "--in", str(rows), "--out", str(tmp_path / "grading.json")])
         assert rc == 1
-        err = capsys.readouterr().err
-        assert "error [map-grades]:" in err and "--meta" in err
+        assert f"error [map-grades]: {rows}: no array 'train_indices'" in capsys.readouterr().err
+        assert not (tmp_path / "grading.json").exists()
+
+    def test_explain_falls_back_to_test_when_validation_is_empty(self, small_run, tmp_path, capsys):
+        stages = small_run["out"] / "stages"
+        (data,) = stages.glob("*/data.npz")
+        (model,) = stages.glob("*/model_rs.json")
+        (background,) = stages.glob("*/train_resampled.npz")
+        cfg = tmp_path / "split.json"
+        cfg.write_text(json.dumps({**SMALL_DOC["split"], "validation_years": [2019, 2020]}))  # past the panel
+        features = tmp_path / "features.npz"
+        assert main(["prepare", "--in", str(data), "--config", str(cfg), "--out", str(features)]) == 0
+        assert px.SplitResult.load(features).validation_indices.size == 0
+        for part in ("validation", "test"):
+            assert main(["explain", "--model", str(model), "--in", str(features), "--split", part,
+                         "--background", str(background), "--group-countries", "--max-instances", "3",
+                         "--seed", "4", "--out", str(tmp_path / f"{part}.json")]) == 0
+        assert "explained 3 rows" in capsys.readouterr().out
+        assert (tmp_path / "validation.json").read_bytes() == (tmp_path / "test.json").read_bytes()
 
     def test_fixed_interval_grading(self, tmp_path):
         from conftest import random_matrix
