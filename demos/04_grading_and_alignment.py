@@ -22,7 +22,8 @@ train, test, validation = prep.split.train, prep.split.test, prep.split.validati
 resampled = px.resample(train, px.SmoteConfig(k=10, target_ratio=0.5, seed=3)).data
 model = px.fit("gbt", resampled, {"n_estimators": 50, "max_depth": 5}, seed=0)
 
-reference = {(c, int(y)): g for c, y, g in px.oracle_reference_grades(oracle)}
+codes = px.oracle_reference_grades(oracle)
+reference = {(c, int(y)): px.GRADES[g] for c, y, g in zip(oracle.company_ids, oracle.years, codes)}
 
 
 def paired(split):

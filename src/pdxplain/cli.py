@@ -3,8 +3,8 @@
 Subcommands call the pipeline's stage functions (generate, prepare,
 resample, train, explain, map-grades, align; evaluate scores one split) plus
 ``run`` for the whole pipeline and ``report`` for pretty-printing a bundle.
-They pass data through the pipeline's own stage files: statement and
-feature ``.npz`` files, JSON sidecars and models, and reference grade CSVs.
+They pass data through the pipeline's own stage files: statement, feature
+and reference grade ``.npz`` files, JSON sidecars and models.
 A subcommand that reads rows takes every row of ``--in``, or with ``--split``
 one part of the split that ``prepare`` stored in it. Failures exit nonzero
 with a stage-tagged message on stderr.
@@ -25,6 +25,7 @@ from .pipeline import (
     STAGE_SEEDS,
     AttributionSection,
     ModelSection,
+    ReferenceGrades,
     RunConfig,
     StageError,
     _fmt_frac,
@@ -135,8 +136,8 @@ def _cmd_map_grades(args) -> int:
     model = load_model(args.model)
     scored = lambda rows: (rows, predict_proba(model, rows))
     test = None if args.fixed_intervals else scored(SplitResult.load(args.inp).test)
-    confusion = map_grades_stage(read_reference_grades(args.reference), scored(_rows(args)), test,
-                                 args.fixed_intervals, args.out)
+    load = ReferenceGrades.load if Path(args.reference).suffix == ".npz" else read_reference_grades
+    confusion = map_grades_stage(load(args.reference), scored(_rows(args)), test, args.fixed_intervals, args.out)
     print(
         f"graded {int(confusion.matrix.sum())} rows -> {args.out} "
         f"(equal {100 * confusion.equal_fraction:.1f}%, "
@@ -194,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="generate a synthetic statement panel")
     p.add_argument("--config", required=True, help="generator config JSON")
     p.add_argument("--out", required=True, help="output statement .npz")
-    p.add_argument("--grades-out", help="optional reference grade CSV")
+    p.add_argument("--grades-out", help="optional output reference grade .npz")
     p.add_argument("--seed", type=int)
     p.set_defaults(func=_cmd_generate, stage="generate")
 
@@ -243,7 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("map-grades", help="map probabilities to rating grades")
     p.add_argument("--model", required=True)
-    p.add_argument("--reference", required=True, help="reference grade CSV")
+    p.add_argument("--reference", required=True,
+                   help="reference grade .npz from generate, or an analysts' grade CSV (any other suffix)")
     _row_args(p)
     p.add_argument("--fixed-intervals", help="interval table JSON; else calibrate on the test split of --in")
     p.add_argument("--out", required=True)

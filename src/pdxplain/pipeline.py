@@ -25,12 +25,13 @@ stage's output already must.
 
 Stages hand data to each other as numpy ``.npz`` columns, saved and loaded
 without pickles: the raw statements (``data.npz``, ``dataprep.Statements``),
+the oracle reference grades (``reference_grades.npz``, ``ReferenceGrades``),
 the prepared matrix with its split's row indices (``features.npz``,
 ``dataprep.SplitResult``, which every later stage reads its rows from) and
 the resampled training rows (``train_resampled.npz``,
 ``dataprep.FeatureMatrix``). Text remains where people and other tools meet
-the data: the JSON sidecars, summaries and models, the reference grades
-(``reference_grades.csv``, the analysts' format) and the report bundle.
+the data: the JSON sidecars, summaries and models, the analysts' reference
+grade CSV (``read_reference_grades``) and the report bundle.
 
 Given a second CPU and no other Python thread, a tree ensemble's WRS fit
 and half its explained instances run in a forked child (``forks.fork_map``),
@@ -63,7 +64,8 @@ import numpy as np
 from . import __version__
 from . import alignment as alignment_mod
 from . import grading as grading_mod
-from .dataprep import DEFAULT_COUNTRIES, FeatureMatrix, SplitResult, SplitSpec, Statements, _as_int, prepare
+from .dataprep import (DEFAULT_COUNTRIES, FeatureMatrix, SplitResult, SplitSpec, Statements, _as_int, _load_npz,
+                       _save_npz, prepare)
 from .forks import fork_map, forking
 from .metrics import evaluate
 from .models import MODEL_KINDS, PARAM_CLASSES, fit, load_model, predict_proba, save_model
@@ -214,20 +216,54 @@ def _json_sha256(doc) -> str:
 
 
 class ReferenceGrades:
-    """Reference grade stream keyed by (company_id, statement_year) when the
-    CSV carries a year column, or by company_id alone otherwise."""
+    """Reference grades as key columns sorted by (company, year); ``grades``
+    are codes into ``grading.GRADES``. Built with ``years`` None (a CSV with
+    no statement_year column), a company's grade holds in every year. A
+    repeated key raises ValueError naming ``where(row)``, row being the
+    first input row to repeat one."""
 
-    def __init__(self, entries: dict, per_year: bool):
-        self.entries = entries
-        self.per_year = per_year
+    def __init__(self, company_ids: np.ndarray, years, grades: np.ndarray, where=lambda row: f"row {row}"):
+        self.per_year = years is not None
+        years = years if self.per_year else np.zeros(company_ids.size, dtype=np.int64)
+        order = np.lexsort([years, company_ids])
+        self.company_ids, self.years, self.grades = company_ids[order], years[order], grades[order]
+        first = np.r_[True, self.company_ids[1:] != self.company_ids[:-1]][: company_ids.size]
+        self._companies, self._years = self.company_ids[first], np.unique(years)
+        # each key as one integer that sorts as the keys do: company rank, then year rank
+        self._keys = (np.cumsum(first) - 1) * self._years.size + np.searchsorted(self._years, self.years)
+        repeats = np.flatnonzero(self._keys[1:] == self._keys[:-1]) + 1
+        if repeats.size:
+            row = order[repeats].min()  # the sort is stable: each key's first input row comes first
+            key = (str(company_ids[row]), int(years[row]))
+            raise ValueError(f"{where(row)}: repeated key {key if self.per_year else key[0]!r}")
 
-    def get(self, company_id: str, year: int):
-        key = (company_id, int(year)) if self.per_year else company_id
-        return self.entries.get(key)
+    def codes(self, company_ids: np.ndarray, years: np.ndarray) -> np.ndarray:
+        """The grade code of each (``company_ids[i]``, ``years[i]``) key, -1 where the stream has none."""
+        if not self.grades.size:
+            return np.full(len(company_ids), -1)
+        years = years if self.per_year else np.zeros(len(years), dtype=np.int64)
+        key = np.searchsorted(self._companies, company_ids) * self._years.size + np.searchsorted(self._years, years)
+        at = np.searchsorted(self._keys, key).clip(max=self._keys.size - 1)
+        return np.where((self.company_ids[at] == company_ids) & (self.years[at] == years), self.grades[at], -1)
+
+    def save(self, path) -> None:
+        """Write the columns to ``path`` as a .npz of ``company_id``, ``statement_year`` and ``grade``."""
+        _save_npz(path, {"company_id": self.company_ids, "statement_year": self.years, "grade": self.grades})
+
+    @classmethod
+    def load(cls, path) -> "ReferenceGrades":
+        """Read grades that ``save`` wrote; see ``_load_npz`` for the checks. A
+        code outside ``grading.GRADES`` or a repeated key raises ValueError too."""
+        a = _load_npz(path, {"company_id": "U", "statement_year": "i", "grade": "i"},
+                      lambda a: dict.fromkeys(a, (a["grade"].size,)))
+        if ((a["grade"] < 0) | (a["grade"] >= len(grading_mod.GRADES))).any():
+            raise ValueError(f"{path}: array 'grade' holds a code outside 0-{len(grading_mod.GRADES) - 1}")
+        return cls(a["company_id"], a["statement_year"], a["grade"], lambda row: str(path))
 
 
 def read_reference_grades(path) -> ReferenceGrades:
-    """Read a reference grade CSV. A row that is short, carries a
+    """Read an analysts' reference grade CSV: company_id, grade and an
+    optional statement_year column. A row that is short, carries a
     non-integer year or a grade outside ``grading.GRADES``, or repeats a key
     raises ValueError naming the file line."""
     with open(path, newline="") as fh:
@@ -236,21 +272,21 @@ def read_reference_grades(path) -> ReferenceGrades:
         if not {"company_id", "grade"} <= columns:
             raise ValueError("reference grade CSV needs company_id and grade columns")
         per_year = "statement_year" in columns
-        entries: dict = {}
+        rows = []
         for row in reader:
             try:
                 if None in row.values():
                     raise ValueError("row has fewer cells than the header")
-                key = (row["company_id"], int(row["statement_year"])) if per_year else row["company_id"]
+                year = np.int64(int(row["statement_year"])) if per_year else 0
                 grade = row["grade"].strip()
                 if grade not in grading_mod.GRADES:
                     raise ValueError(f"unknown grade {grade!r}; expected one of {''.join(grading_mod.GRADES)}")
-                if key in entries:
-                    raise ValueError(f"repeated key {key!r}")
-            except ValueError as exc:
+            except (ValueError, OverflowError) as exc:  # OverflowError: a year outside int64
                 raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
-            entries[key] = grade
-    return ReferenceGrades(entries, per_year)
+            rows.append((row["company_id"], year, grading_mod.GRADES.index(grade), reader.line_num))
+    ids, years, grades, lines = zip(*rows) if rows else ((),) * 4
+    return ReferenceGrades(np.array(ids, dtype=str), np.array(years, dtype=np.int64) if per_year else None,
+                           np.array(grades, dtype=np.int64), lambda row: f"{path} line {lines[row]}")
 
 
 def write_json(path, doc) -> None:
@@ -269,10 +305,7 @@ def generate_stage(config: GeneratorConfig, data_path, grades_path=None) -> dict
     statements, oracle = generate_statements(config)
     statements.save(data_path)
     if grades_path is not None:
-        with open(grades_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["company_id", "statement_year", "grade"])
-            writer.writerows(oracle_reference_grades(oracle))
+        ReferenceGrades(np.array(oracle.company_ids), oracle.years, oracle_reference_grades(oracle)).save(grades_path)
     return {
         "intercept": oracle.intercept,
         "realized_default_rate": oracle.realized_rate,
@@ -335,15 +368,11 @@ def explain_stage(model, instances: FeatureMatrix, background: np.ndarray, group
 
 def _paired_grades(data: FeatureMatrix, probs: np.ndarray, reference: ReferenceGrades):
     """(reference grades, probabilities ``probs``) of the rows of ``data`` that have one."""
-    grades, kept = [], []
-    for i in range(data.n):
-        grade = reference.get(data.company_ids[i], data.years[i])
-        if grade is not None:
-            grades.append(grade)
-            kept.append(i)
-    if data.n and not kept:
+    codes = reference.codes(np.array(data.company_ids, dtype=str), data.years)
+    kept = codes >= 0
+    if data.n and not kept.any():
         raise ValueError("no rows matched the reference grade stream")
-    return grades, probs[np.asarray(kept, dtype=int)]
+    return np.array(grading_mod.GRADES)[codes[kept]].tolist(), probs[kept]
 
 
 def map_grades_stage(reference: ReferenceGrades, scored, test, intervals_path, path) -> grading_mod.GradeConfusion:
@@ -406,7 +435,7 @@ def run_pipeline(config: RunConfig, out_dir) -> dict:
 
     gen_dir = run_stage("generate", doc["generator"], [], lambda d: write_json(
         d / "generation.json",
-        generate_stage(config.generator, d / "data.npz", d / "reference_grades.csv"),
+        generate_stage(config.generator, d / "data.npz", d / "reference_grades.npz"),
     ))
 
     def _prepare(d: Path):
@@ -452,7 +481,7 @@ def run_pipeline(config: RunConfig, out_dir) -> dict:
     grade_dir = run_stage(
         "map-grades", config.grading.mode, [gen_dir, prep_dir, train_dir],
         lambda d: map_grades_stage(
-            read_reference_grades(gen_dir / "reference_grades.csv"),
+            ReferenceGrades.load(gen_dir / "reference_grades.npz"),
             (split().validation, proba("model_rs.json", "validation")),
             (split().test, proba("model_rs.json", "test")) if config.grading.mode == "calibrate" else None,
             config.grading.intervals_path, d / "grading.json"),

@@ -319,10 +319,9 @@ def generate_statements(config: GeneratorConfig) -> tuple[Statements, SynthOracl
 GRADE_FRACTIONS = (0.30, 0.25, 0.20, 0.13, 0.08, 0.04)
 
 
-def oracle_reference_grades(
-    oracle: SynthOracle, fractions: Sequence[float] = GRADE_FRACTIONS
-) -> list[tuple[str, int, str]]:
-    """Reference grades (company_id, year, grade) by propensity quantile.
+def oracle_reference_grades(oracle: SynthOracle, fractions: Sequence[float] = GRADE_FRACTIONS) -> np.ndarray:
+    """Reference grade of each oracle row by propensity quantile, as a code
+    into ``grading.GRADES``.
 
     Stands in for an external expert rating system: companies in the lowest
     propensity quantiles get the safest grades.
@@ -332,6 +331,5 @@ def oracle_reference_grades(
     if len(fractions) != len(GRADES) or abs(sum(fractions) - 1.0) > 1e-9:
         raise ValueError("fractions must cover the six grades and sum to 1")
     cuts = np.quantile(oracle.propensity, np.cumsum(fractions)[:-1])
-    idx = np.searchsorted(cuts, oracle.propensity, side="right")
-    return list(zip(oracle.company_ids, oracle.years.tolist(), map(GRADES.__getitem__, idx.tolist())))
+    return np.searchsorted(cuts, oracle.propensity, side="right")
 

@@ -7,7 +7,9 @@ cells alone; the random forest fit on bootstrap
 rows repeated, before it fit on bootstrap counts, and SMOTE's neighbor search
 over every pair's distance tensor with a full stable sort, before it
 re-checked only the candidates of a GEMM prefilter, and the intercept
-bisection's full 80 halvings, before it stopped at its fixed point. Tests compare the
+bisection's full 80 halvings, before it stopped at its fixed point; and
+map-grades' join of rows to reference grades through a dict and a row loop
+(``paired_grades``), before it searched sorted key columns. Tests compare the
 package against them; nothing in ``src/`` imports this module.
 
 A raw statement here is a ``CompanyRecord``; ``to_statements`` and
@@ -588,3 +590,19 @@ def minority_neighbors(X_min, k):
         d2[np.arange(stop - start), np.arange(start, stop)] = np.inf
         out[start:stop] = np.argsort(d2, axis=1, kind="stable")[:, :k]
     return out
+
+
+def paired_grades(data: FeatureMatrix, probs, stream, per_year=True):
+    """``pipeline._paired_grades`` as a dict and a loop: ``stream`` holds
+    (company_id, year, grade letter) rows, keyed by (company, year), or by
+    company alone when not ``per_year``."""
+    entries = {(c, int(y)) if per_year else c: g for c, y, g in stream}
+    grades, kept = [], []
+    for i in range(data.n):
+        grade = entries.get((data.company_ids[i], int(data.years[i])) if per_year else data.company_ids[i])
+        if grade is not None:
+            grades.append(grade)
+            kept.append(i)
+    if data.n and not kept:
+        raise ValueError("no rows matched the reference grade stream")
+    return grades, probs[np.asarray(kept, dtype=int)]

@@ -274,11 +274,17 @@ def small_split():
     return px.split(_year_matrix([2001, 2005, 2006, 2007, 2013, 2014, 2010, 2011]), px.SplitSpec(seed=1))
 
 
+def small_reference():
+    """Reference grades of three keys, given out of key order."""
+    return px.pipeline.ReferenceGrades(np.array(["C2", "C10", "C1"]), np.array([2011, 2010, 2010]), np.array([5, 0, 3]))
+
+
 # Each stage file type: (its class, a small instance of it).
 STAGE_FILES = {
     "statements": (px.Statements, lambda: to_statements([make_record("A", 2010), make_record("B", 2011, sales=None)])),
     "features": (px.FeatureMatrix, small_matrix),
     "split": (px.SplitResult, small_split),
+    "reference_grades": (px.pipeline.ReferenceGrades, small_reference),
 }
 
 
@@ -632,3 +638,43 @@ class TestIntegerCells:
                        full_row(company_id="C", statement_year="2010.5", out_of_business="maybe"))
         with pytest.raises(ValueError, match=re.escape(f"{path} line 3: sales: could not convert")):
             read_statements(path)
+
+
+class TestReferenceGradeFile:
+    """Generate's reference grades as sorted key columns; a file that breaks them names itself."""
+
+    def test_round_trip_keeps_the_sorted_keys(self, tmp_path):
+        small_reference().save(tmp_path / "g.npz")
+        back = px.pipeline.ReferenceGrades.load(tmp_path / "g.npz")
+        assert back.company_ids.tolist() == ["C1", "C10", "C2"]
+        assert back.years.tolist() == [2010, 2010, 2011] and back.grades.tolist() == [3, 0, 5]
+
+    @pytest.mark.parametrize("name", ["company_id", "statement_year", "grade"])
+    def test_missing_array_names_the_file(self, tmp_path, name):
+        path = tmp_path / "g.npz"
+        small_reference().save(path)
+        resaved(path, **{name: None})
+        with pytest.raises(ValueError, match=re.escape(f"{path}: no array {name!r}")):
+            px.pipeline.ReferenceGrades.load(path)
+
+    def test_float_grades_name_the_file(self, tmp_path):
+        path = tmp_path / "g.npz"
+        small_reference().save(path)
+        resaved(path, grade=np.array([5.0, 0.0, 3.0]))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: array 'grade' has dtype float64")):
+            px.pipeline.ReferenceGrades.load(path)
+
+    @pytest.mark.parametrize("code", [6, -1])
+    def test_code_outside_the_grades_names_the_file(self, tmp_path, code):
+        path = tmp_path / "g.npz"
+        small_reference().save(path)
+        resaved(path, grade=np.array([5, code, 3]))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: array 'grade' holds a code outside 0-5")):
+            px.pipeline.ReferenceGrades.load(path)
+
+    def test_repeated_key_names_the_file(self, tmp_path):
+        path = tmp_path / "g.npz"
+        small_reference().save(path)
+        resaved(path, company_id=np.array(["C1", "C10", "C1"]), statement_year=np.array([2010, 2011, 2010]))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: repeated key ('C1', 2010)")):
+            px.pipeline.ReferenceGrades.load(path)

@@ -19,15 +19,17 @@ from pdxplain.pipeline import (
     BUNDLE_FILES,
     AttributionSection,
     ModelSection,
+    ReferenceGrades,
     RunConfig,
     StageError,
+    _paired_grades,
     format_report,
     read_reference_grades,
     run_pipeline,
 )
 
 from conftest import SPOILERS, tree_digest
-from record_loops import to_records, write_records
+from record_loops import paired_grades, to_records, write_records
 
 DATA = Path(px.__file__).parent / "data"
 ROOT = Path(__file__).resolve().parents[1]
@@ -453,7 +455,7 @@ def copy_stages(small_run, dest) -> Path:
 UPSTREAM_READERS = {
     "Statements.load": (px.Statements, "load"),
     "FeatureMatrix.load": (px.FeatureMatrix, "load"),
-    "read_reference_grades": (px.pipeline, "read_reference_grades"),
+    "ReferenceGrades.load": (px.pipeline.ReferenceGrades, "load"),
     "load_model": (px.pipeline, "load_model"),
 }
 
@@ -499,7 +501,7 @@ class TestArtifactReads:
         config = RunConfig.from_dict(doc)
         run_pipeline(config, tmp_path / "fresh")
         out = copy_stages(small_run, tmp_path / "sweep")
-        forbid_upstream_reads(monkeypatch, allowed=("FeatureMatrix.load", "load_model", "read_reference_grades"))
+        forbid_upstream_reads(monkeypatch, allowed=("FeatureMatrix.load", "load_model", "ReferenceGrades.load"))
         run_pipeline(config, out)
         assert bundle_bytes(out) == bundle_bytes(tmp_path / "fresh")
 
@@ -731,15 +733,15 @@ class TestForkedWork:
         assert report.phi.shape[0] == 4 and pids == []
 
 
-def test_stage_files_are_markers_json_npz_or_the_grade_csv(small_run):
+def test_stage_files_are_markers_json_or_npz(small_run):
     """No stray text writer in the stage directories, and no wall-clock byte
     in the hashed run directory: each .npz loads without pickles, and every
     zip member carries numpy's fixed 1980 timestamp."""
     files = [p for p in (small_run["out"] / "stages").rglob("*") if p.is_file()]
     for p in files:
-        assert p.name in (".done", "reference_grades.csv") or p.suffix in (".json", ".npz"), p
+        assert p.name == ".done" or p.suffix in (".json", ".npz"), p
     npzs = sorted(p for p in files if p.suffix == ".npz")
-    assert sorted(p.name for p in npzs) == ["data.npz", "features.npz", "train_resampled.npz"]
+    assert sorted(p.name for p in npzs) == ["data.npz", "features.npz", "reference_grades.npz", "train_resampled.npz"]
     for p in npzs:
         with np.load(p, allow_pickle=False) as npz:
             assert all(npz[name].dtype != object for name in npz.files)
@@ -823,7 +825,7 @@ class TestCli:
         params.write_text(json.dumps({"n_estimators": 10, "max_depth": 3}))
 
         data = tmp_path / "data.npz"
-        ref = tmp_path / "ref.csv"
+        ref = tmp_path / "reference_grades.npz"
         features = tmp_path / "features.npz"
         train_rs = tmp_path / "train_rs.npz"
         model = tmp_path / "model.json"
@@ -870,13 +872,13 @@ class TestCli:
         params = tmp_path / "params.json"
         params.write_text(json.dumps(SMALL_DOC["model"]["params"]))
         f = {name: str(tmp_path / name) for name in (
-            "data.npz", "reference_grades.csv", "features.npz", "features.meta.json",
+            "data.npz", "reference_grades.npz", "features.npz", "features.meta.json",
             "train_resampled.npz", "smote_audit.json", "model_rs.json", "grading.json",
             "alignment.json",
         )}
         steps = [
             ["generate", "--config", str(gen_cfg), "--seed", str(config.generator.seed),
-             "--out", f["data.npz"], "--grades-out", f["reference_grades.csv"]],
+             "--out", f["data.npz"], "--grades-out", f["reference_grades.npz"]],
             ["prepare", "--in", f["data.npz"], "--config", str(split_cfg),
              "--seed", str(config.split.seed), "--out", f["features.npz"]],
             ["resample", "--in", f["features.npz"], "--split", "train",
@@ -886,7 +888,7 @@ class TestCli:
             ["train", "--model", config.model.kind, "--params", str(params),
              "--in", f["train_resampled.npz"], "--seed", str(config.model.seed),
              "--out", f["model_rs.json"]],
-            ["map-grades", "--model", f["model_rs.json"], "--reference", f["reference_grades.csv"],
+            ["map-grades", "--model", f["model_rs.json"], "--reference", f["reference_grades.npz"],
              "--in", f["features.npz"], "--split", "validation", "--out", f["grading.json"]],
             ["align", "--attribution", str(pipeline_artifact("attributions.json")),
              "--out", f["alignment.json"]],
@@ -902,7 +904,7 @@ class TestCli:
         stages = small_run["out"] / "stages"
         (rows,) = stages.glob("*/train_resampled.npz")
         (model,) = stages.glob("*/model_rs.json")
-        (ref,) = stages.glob("*/reference_grades.csv")
+        (ref,) = stages.glob("*/reference_grades.npz")
         rc = main(["map-grades", "--model", str(model), "--reference", str(ref),
                    "--in", str(rows), "--out", str(tmp_path / "grading.json")])
         assert rc == 1
@@ -990,9 +992,8 @@ class TestCli:
         path = tmp_path / "ref.csv"
         path.write_text("company_id,grade\nC1,A\nC2,F\n")
         ref = read_reference_grades(path)
-        assert ref.get("C1", 2010) == "A"
-        assert ref.get("C1", 2015) == "A"
-        assert ref.get("C3", 2010) is None
+        codes = ref.codes(np.array(["C1", "C1", "C3", "C2"]), np.array([2010, 2015, 2010, 1]))
+        assert codes.tolist() == [0, 0, -1, 5]
 
     def test_failure_is_stage_tagged_and_nonzero(self, tmp_path, capsys):
         rc = main(["evaluate", "--model", str(tmp_path / "nope.json"),
@@ -1055,3 +1056,67 @@ class TestCli:
         path.write_text("company_id,statement_year,grade\n" + rows)
         with pytest.raises(ValueError, match=f"ref.csv {message}"):
             read_reference_grades(path)
+
+    def test_reference_year_outside_int64_names_the_line(self, tmp_path):
+        path = tmp_path / "ref.csv"
+        path.write_text("company_id,statement_year,grade\nC1,2010,A\nC2,99999999999999999999,B\n")
+        with pytest.raises(ValueError, match="ref.csv line 3: Python int too large"):
+            read_reference_grades(path)
+
+
+def random_join(seed, per_year, n_rows):
+    """A random reference stream, as (company, year, grade) rows, and ``n_rows``
+    rows to grade. Ids run from 1 to 5 characters; the rows' years reach past
+    the stream's, and some rows have no grade or repeat a key."""
+    rng = np.random.default_rng(seed)
+    pool = np.array(["C", *(f"C{i}" for i in rng.choice(500, 60, replace=False))])
+    years = np.arange(2006, 2011)
+    keys = {(str(c), int(y) if per_year else 0) for c, y in zip(rng.choice(pool, 120), rng.choice(years, 120))}
+    stream = [(c, y, px.GRADES[g]) for (c, y), g in zip(sorted(keys), rng.integers(0, 6, len(keys)))]
+    rng.shuffle(stream)
+    ids = rng.choice(np.append(pool, ["X", "C9999", "C1000"]), n_rows).tolist()
+    rows = px.FeatureMatrix(["f0"], np.zeros((n_rows, 1)), np.zeros(n_rows, dtype=int), ids,
+                            rng.integers(2003, 2014, n_rows))
+    return stream, rows, rng.random(n_rows)
+
+
+class TestReferenceJoin:
+    """The key-column join keeps the rows, order and grades of the dict-and-loop join."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("per_year", [True, False], ids=["per_year", "company_only"])
+    @pytest.mark.parametrize("n_rows", [0, 1, 300])
+    def test_matches_the_dict_and_loop_join(self, tmp_path, seed, per_year, n_rows):
+        stream, rows, probs = random_join(seed, per_year, n_rows)
+        path = tmp_path / "ref.csv"
+        path.write_text("\n".join(["company_id,statement_year,grade" if per_year else "company_id,grade"]
+                                  + [f"{c},{y},{g}" if per_year else f"{c},{g}" for c, y, g in stream]) + "\n")
+        references = [read_reference_grades(path)]
+        if per_year:  # generate's .npz holds years
+            references[0].save(tmp_path / "ref.npz")
+            references.append(ReferenceGrades.load(tmp_path / "ref.npz"))
+        try:
+            want = paired_grades(rows, probs, stream, per_year)
+        except ValueError as exc:  # no row of this draw has a grade
+            for reference in references:
+                with pytest.raises(ValueError, match=str(exc)):
+                    _paired_grades(rows, probs, reference)
+            return
+        for reference in references:
+            grades, kept = _paired_grades(rows, probs, reference)
+            assert grades == want[0]
+            np.testing.assert_array_equal(kept, want[1])
+
+    def test_rows_without_a_match_raise(self):
+        reference = ReferenceGrades(np.array(["C1", "C2"]), np.array([2010, 2010]), np.array([0, 1]))
+        rows = px.FeatureMatrix(["f0"], np.zeros((3, 1)), np.zeros(3, dtype=int), ["C1", "C3", "C10"],
+                                np.array([2011, 2010, 2010]))
+        with pytest.raises(ValueError, match="no rows matched the reference grade stream"):
+            _paired_grades(rows, np.zeros(3), reference)
+
+    def test_an_empty_stream_matches_no_row(self):
+        empty = ReferenceGrades(np.array([], dtype=str), np.array([], dtype=np.int64), np.array([], dtype=np.int64))
+        rows = px.FeatureMatrix(["f0"], np.zeros((1, 1)), np.zeros(1, dtype=int), ["C1"], np.array([2010]))
+        with pytest.raises(ValueError, match="no rows matched"):
+            _paired_grades(rows, np.zeros(1), empty)
+        assert _paired_grades(rows.subset([]), np.zeros(0), empty)[0] == []

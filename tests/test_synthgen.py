@@ -211,22 +211,23 @@ class TestDefaultRateReport:
 class TestReferenceGrades:
     def test_all_grades_present_with_quantile_fractions(self, big_panel):
         _, oracle = big_panel
-        grades = px.oracle_reference_grades(oracle)
-        counts = {g: 0 for g in px.GRADES}
-        for _, _, g in grades:
-            counts[g] += 1
-        total = len(grades)
-        for g, frac in zip(px.GRADES, GRADE_FRACTIONS):
-            assert counts[g] > 0
-            assert abs(counts[g] / total - frac) < 0.02
+        codes = px.oracle_reference_grades(oracle)
+        assert codes.shape == (len(oracle.company_ids),)
+        counts = np.bincount(codes, minlength=len(px.GRADES))
+        assert counts.size == len(px.GRADES)
+        for count, frac in zip(counts, GRADE_FRACTIONS):
+            assert count > 0
+            assert abs(count / codes.size - frac) < 0.02
 
-    def test_grades_cover_exactly_the_labeled_rows(self):
+    def test_grades_cover_exactly_the_labeled_rows(self, tmp_path):
         cfg = px.GeneratorConfig(
             n_companies=300, year_range=(2004, 2012), imbalance_ratio=10.0, seed=9
         )
-        statements, oracle = px.generate_statements(cfg)
-        graded = {(c, y) for c, y, _ in px.oracle_reference_grades(oracle)}
-        assert graded == set(labeled_keys(statements))
+        px.pipeline.generate_stage(cfg, tmp_path / "data.npz", tmp_path / "grades.npz")
+        ref = px.pipeline.ReferenceGrades.load(tmp_path / "grades.npz")
+        graded = set(zip(ref.company_ids.tolist(), ref.years.tolist()))
+        assert len(graded) == ref.grades.size
+        assert graded == set(labeled_keys(px.Statements.load(tmp_path / "data.npz")))
 
     def test_bad_fractions_rejected(self):
         cfg = px.GeneratorConfig(
